@@ -23,12 +23,7 @@ from .soundness import differential_check, generate_hole_program
 from .syntax import (
     DesugarError,
     Expr,
-    Lam,
     Mon,
-    App,
-    If,
-    Set,
-    DepCon,
     ParseError,
     SurfaceProgram,
     alpha_rename,
@@ -36,6 +31,7 @@ from .syntax import (
     node_kinds,
     parse,
     print_expr,
+    subterms,
     with_escapes,
 )
 
@@ -49,24 +45,7 @@ EXIT_ERROR = 2
 def count_checks(e: Expr) -> int:
     """Monitor nodes in the loaded program: explicit monitors, definition
     contracts, and instantiated primitive guards."""
-    count = 0
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Mon):
-            count += 1
-            stack.extend((cur.contract, cur.expr))
-        elif isinstance(cur, Lam):
-            stack.append(cur.body)
-        elif isinstance(cur, App):
-            stack.extend((cur.fn, cur.arg))
-        elif isinstance(cur, If):
-            stack.extend((cur.cond, cur.then, cur.orelse))
-        elif isinstance(cur, Set):
-            stack.append(cur.expr)
-        elif isinstance(cur, DepCon):
-            stack.extend((cur.dom, cur.rng))
-    return count
+    return sum(isinstance(sub, Mon) for sub in subterms(e))
 
 
 def program_to_text(program: SurfaceProgram) -> str:

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .machine import PostValue, VOpq, VPrim
 from .primitives import ONE, PRIM_TABLE, delta
-from .syntax import App, Expr, Lam, Num, Prim, Ref, expr_depth, print_expr
+from .syntax import App, Expr, Lam, Num, Prim, Ref, expr_depth, free_vars, print_expr
 
 __all__ = [
     "Formula",
@@ -316,6 +316,7 @@ class SolverClient:
             except OSError:
                 pass
         self.proc = None
+        atexit.unregister(self.close)
 
 
 def open_solver(name_or_path: Optional[str]) -> Optional[SolverClient]:
@@ -381,20 +382,6 @@ def feasible(
             return None
     # A fact with no variable references is fully decided by the check just
     # performed; recording it would not constrain anything later.
-    if not _mentions_var(entry):
+    if not free_vars(entry):
         return pc
     return pc2
-
-
-def _mentions_var(e: Expr) -> bool:
-    if isinstance(e, Ref):
-        return True
-    if isinstance(e, App):
-        return _mentions_var(e.fn) or _mentions_var(e.arg)
-    if isinstance(e, (Num, Prim)):
-        return False
-    # anything else (lambdas, holes, monitors) is opaque to the logic and
-    # worth keeping only if a reference hides inside
-    from .syntax import free_vars
-
-    return bool(free_vars(e))

@@ -56,7 +56,7 @@ from .machine import (
     VPrim,
     Value,
 )
-from .syntax import OPAQUE_LABEL, print_expr
+from .syntax import OPAQUE_LABEL, assigned_vars, print_expr
 
 __all__ = [
     "HavocMemo",
@@ -185,39 +185,6 @@ def leak(stores: GlobalStores, v: Value, widen_fn=None) -> Value:
     return stores.join_value(LEAK_ADDR, v, widen_fn)
 
 
-_SET_TARGETS_CACHE: dict = {}
-
-
-def _set_targets(e) -> frozenset:
-    """Syntactic set! targets inside an expression."""
-    hit = _SET_TARGETS_CACHE.get(e)
-    if hit is not None:
-        return hit
-    from .syntax import App, DepCon, If, Lam, Mon, Set
-
-    out: set = set()
-    stack = [e]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Set):
-            out.add(cur.x)
-            stack.append(cur.expr)
-        elif isinstance(cur, Lam):
-            stack.append(cur.body)
-        elif isinstance(cur, App):
-            stack.append(cur.fn)
-            stack.append(cur.arg)
-        elif isinstance(cur, If):
-            stack.extend((cur.cond, cur.then, cur.orelse))
-        elif isinstance(cur, DepCon):
-            stack.extend((cur.dom, cur.rng))
-        elif isinstance(cur, Mon):
-            stack.extend((cur.contract, cur.expr))
-    result = frozenset(out)
-    _SET_TARGETS_CACHE[e] = result
-    return result
-
-
 def context_mutable_vars(stores: GlobalStores) -> frozenset:
     """Variables the unknown context could mutate: set! targets occurring in
     any closure body reachable from the leaked values."""
@@ -227,7 +194,7 @@ def context_mutable_vars(stores: GlobalStores) -> frozenset:
     while frontier:
         v = frontier.pop()
         if isinstance(v, VClo):
-            out |= _set_targets(v.body)
+            out |= assigned_vars(v.body)
         for addr in _direct_addrs(v):
             if addr not in seen_addrs:
                 seen_addrs.add(addr)

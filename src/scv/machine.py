@@ -385,7 +385,6 @@ class FRt(Frame):
     ys: frozenset
     sym: SymName
     saved_cache: Cache
-    saved_pc: frozenset
     shared: bool = False
 
 
@@ -466,14 +465,14 @@ class MachineState:
 class GlobalStores:
     """Driver-owned global value and continuation stores.
 
-    Both only grow; `epoch` counts growth events so the fixpoint driver can
-    tell when previously seen states must be revisited.
+    Both only grow.  While a state steps, `reads` collects the addresses it
+    looks up and `changed` the addresses that grow; the fixpoint driver maps
+    each changed address to the states that read it and revisits them.
     """
 
     def __init__(self) -> None:
         self.values: dict[Addr, frozenset] = {}
         self.konts: dict[KontAddr, frozenset] = {}
-        self.epoch = 0
         # read log and change log for the driver's dependency tracking
         self.reads: Optional[set] = None
         self.changed: list = []
@@ -483,7 +482,6 @@ class GlobalStores:
             self.reads.add(addr)
 
     def _note_change(self, addr) -> None:
-        self.epoch += 1
         self.changed.append(addr)
 
     def lookup(self, addr: Addr) -> frozenset:

@@ -413,7 +413,7 @@ def _apply_closure(
 
     pc = (clo.pc | state.pc) if shared else clo.pc
     s_call = ap_sym(effective_sym(fnw, ctx.config.max_sym_depth), effective_sym(argw, ctx.config.max_sym_depth), ctx.config.max_sym_depth)
-    rt = FRt(clo.x, ys, s_call, state.cache, state.pc, shared)
+    rt = FRt(clo.x, ys, s_call, state.cache, shared)
     kaddr = kont_alloc(clo.body, env2, ctx.config.mode, ctx)
     stores.join_kont(kaddr, ((rt,) + state.frames, state.kaddr))
     return _update(

@@ -24,6 +24,7 @@ source text.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -55,7 +56,9 @@ __all__ = [
     "free_vars",
     "print_expr",
     "expr_depth",
+    "subterms",
     "node_kinds",
+    "assigned_vars",
     "with_escapes",
     "toplevel_names",
 ]
@@ -109,21 +112,42 @@ LANGUAGE_LABEL = Label("Λ", LANGUAGE_KIND)
 SYM_LABEL = Label("sym", TRANSPARENT)
 
 
-class Expr:
-    """Base class for core expressions.  Instances are immutable; the hash
-    is computed once since expressions are used heavily as set members."""
+def _per_node(slot: str):
+    """Memoize a function of one expression in a slot of that node, so the
+    result lives exactly as long as the node does."""
 
-    __slots__ = ("_hash",)
+    def wrap(fn):
+        @functools.wraps(fn)
+        def memo(e):
+            try:
+                return getattr(e, slot)
+            except AttributeError:
+                result = fn(e)
+                object.__setattr__(e, slot, result)
+                return result
+
+        return memo
+
+    return wrap
+
+
+class Expr:
+    """Base class for core expressions.  Instances are immutable, so the hash
+    and the facts derived below (free variables, printed text, set! targets,
+    depth) are computed once per node and kept in its slots."""
+
+    __slots__ = ("_hash", "_fv", "_text", "_assigned", "_depth")
 
     def _key(self) -> tuple:
         raise NotImplementedError
 
+    def children(self) -> tuple[Expr, ...]:
+        """The sub-expressions, in field order."""
+        return ()
+
+    @_per_node("_hash")
     def __hash__(self) -> int:
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self._key())
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -191,6 +215,9 @@ class Lam(Expr):
     def _key(self):
         return ("lam", self.x, self.body)
 
+    def children(self):
+        return (self.body,)
+
 
 class Ref(Expr):
     __slots__ = ("x", "pos")
@@ -221,6 +248,9 @@ class App(Expr):
     def _key(self):
         return ("app", self.fn, self.arg, self.label)
 
+    def children(self):
+        return (self.fn, self.arg)
+
 
 class If(Expr):
     __slots__ = ("cond", "then", "orelse", "pos")
@@ -237,6 +267,9 @@ class If(Expr):
     def _key(self):
         return ("if", self.cond, self.then, self.orelse)
 
+    def children(self):
+        return (self.cond, self.then, self.orelse)
+
 
 class Set(Expr):
     __slots__ = ("x", "expr", "pos")
@@ -251,6 +284,9 @@ class Set(Expr):
 
     def _key(self):
         return ("set", self.x, self.expr)
+
+    def children(self):
+        return (self.expr,)
 
 
 class DepCon(Expr):
@@ -269,6 +305,9 @@ class DepCon(Expr):
 
     def _key(self):
         return ("depcon", self.dom, self.x, self.rng)
+
+    def children(self):
+        return (self.dom, self.rng)
 
 
 class Mon(Expr):
@@ -296,6 +335,9 @@ class Mon(Expr):
 
     def _key(self):
         return ("mon", self.pos_label, self.neg_label, self.contract, self.expr)
+
+    def children(self):
+        return (self.contract, self.expr)
 
 
 # --------------------------------------------------------------------------
@@ -788,18 +830,8 @@ def alpha_rename(e: Expr) -> Expr:
     return walk(e, {})
 
 
-_FV_CACHE: dict = {}
-
-
+@_per_node("_fv")
 def free_vars(e: Expr) -> frozenset[str]:
-    hit = _FV_CACHE.get(e)
-    if hit is None:
-        hit = _free_vars(e)
-        _FV_CACHE[e] = hit
-    return hit
-
-
-def _free_vars(e: Expr) -> frozenset[str]:
     if isinstance(e, (Num, Prim, Opq)):
         return frozenset()
     if isinstance(e, Ref):
@@ -819,18 +851,8 @@ def _free_vars(e: Expr) -> frozenset[str]:
     raise AssertionError(f"unexpected node {type(e).__name__}")
 
 
-_PRINT_CACHE: dict = {}
-
-
+@_per_node("_text")
 def print_expr(e: Expr) -> str:
-    hit = _PRINT_CACHE.get(e)
-    if hit is None:
-        hit = _print_expr(e)
-        _PRINT_CACHE[e] = hit
-    return hit
-
-
-def _print_expr(e: Expr) -> str:
     if isinstance(e, Num):
         return str(e.n)
     if isinstance(e, Prim):
@@ -854,47 +876,26 @@ def _print_expr(e: Expr) -> str:
     raise AssertionError(f"unexpected node {type(e).__name__}")
 
 
+@_per_node("_depth")
 def expr_depth(e: Expr) -> int:
-    if isinstance(e, (Num, Prim, Opq, Ref)):
-        return 1
-    if isinstance(e, Lam):
-        return 1 + expr_depth(e.body)
-    if isinstance(e, App):
-        return 1 + max(expr_depth(e.fn), expr_depth(e.arg))
-    if isinstance(e, If):
-        return 1 + max(expr_depth(e.cond), expr_depth(e.then), expr_depth(e.orelse))
-    if isinstance(e, Set):
-        return 1 + expr_depth(e.expr)
-    if isinstance(e, DepCon):
-        return 1 + max(expr_depth(e.dom), expr_depth(e.rng))
-    if isinstance(e, Mon):
-        return 1 + max(expr_depth(e.contract), expr_depth(e.expr))
-    raise AssertionError(f"unexpected node {type(e).__name__}")
+    return 1 + max(map(expr_depth, e.children()), default=0)
+
+
+def subterms(e: Expr) -> Iterator[Expr]:
+    """Every node of the tree rooted at `e`, each before its children."""
+    stack = [e]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        stack.extend(reversed(cur.children()))
 
 
 def node_kinds(e: Expr) -> set[str]:
     """All node kind tags in a tree; used to check that no sugar survives."""
-    kinds: set[str] = set()
+    return {type(sub).__name__ for sub in subterms(e)}
 
-    def walk(e: Expr) -> None:
-        kinds.add(type(e).__name__)
-        if isinstance(e, Lam):
-            walk(e.body)
-        elif isinstance(e, App):
-            walk(e.fn)
-            walk(e.arg)
-        elif isinstance(e, If):
-            walk(e.cond)
-            walk(e.then)
-            walk(e.orelse)
-        elif isinstance(e, Set):
-            walk(e.expr)
-        elif isinstance(e, DepCon):
-            walk(e.dom)
-            walk(e.rng)
-        elif isinstance(e, Mon):
-            walk(e.contract)
-            walk(e.expr)
 
-    walk(e)
-    return kinds
+@_per_node("_assigned")
+def assigned_vars(e: Expr) -> frozenset[str]:
+    """Variables that some set! inside `e` assigns."""
+    return frozenset(sub.x for sub in subterms(e) if isinstance(sub, Set))

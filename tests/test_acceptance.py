@@ -38,7 +38,7 @@ from scv.feasibility import UNSAT, open_solver, translate_pc
 from scv.machine import Env, VClo, VNum, VOpq, VPrim
 from scv.primitives import BASE_VOCAB, delta, satisfies
 from scv.soundness import differential_check, generate_hole_program
-from scv.syntax import alpha_rename, desugar, print_expr
+from scv.syntax import alpha_rename, desugar, print_expr, subterms
 
 MAX_CORPUS_SECONDS = 10.0
 
@@ -97,14 +97,7 @@ def test_criterion_2_blame_soundness_fuzzing():
 
 
 def _node_count(e) -> int:
-    from scv.syntax import App, DepCon, If, Lam, Mon, Set
-
-    n = 1
-    for attr in ("fn", "arg", "body", "cond", "then", "orelse", "expr", "contract", "dom", "rng"):
-        child = getattr(e, attr, None)
-        if child is not None and hasattr(child, "_key"):
-            n += _node_count(child)
-    return n
+    return sum(1 for _ in subterms(e))
 
 
 def test_criterion_3_termination():

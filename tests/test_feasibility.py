@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 from scv.feasibility import (
     SAT,
@@ -7,6 +9,7 @@ from scv.feasibility import (
     UNSAT,
     encode_pred,
     feasible,
+    open_solver,
     translate_expr,
     translate_pc,
 )
@@ -129,6 +132,15 @@ def test_verdict_cache(solver):
     b = solver.check(f)
     assert a == b == SAT
     assert solver.queries == before + 1
+
+
+def test_closed_client_is_released():
+    client = open_solver("builtin")
+    ref = weakref.ref(client)
+    client.close()
+    del client
+    gc.collect()
+    assert ref() is None
 
 
 def test_feasibility_monotone_on_random_chains(solver):

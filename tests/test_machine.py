@@ -85,15 +85,13 @@ def test_state_identity_and_hash():
     assert s1 != s3
 
 
-def test_store_growth_bumps_epoch_and_logs_changes():
+def test_store_growth_logs_changes():
     stores = GlobalStores()
-    before = stores.epoch
     stores.join_value(("var", "x", frozenset()), VNum(1))
-    assert stores.epoch == before + 1
     assert stores.changed == [("var", "x", frozenset())]
     stores.changed.clear()
     stores.join_value(("var", "x", frozenset()), VNum(1))
-    assert stores.epoch == before + 1 and stores.changed == []
+    assert stores.changed == []
 
 
 def test_leak_set_only_grows():

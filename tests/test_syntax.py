@@ -2,8 +2,11 @@ import pytest
 
 from scv.syntax import (
     App,
+    DepCon,
     DesugarError,
+    Expr,
     If,
+    LANGUAGE_LABEL,
     Lam,
     Mon,
     Num,
@@ -14,6 +17,7 @@ from scv.syntax import (
     Ref,
     Set,
     alpha_rename,
+    assigned_vars,
     desugar,
     free_vars,
     node_kinds,
@@ -198,6 +202,42 @@ def test_free_vars_basic_cases():
     assert free_vars(parse_expr("(λ (x) x)")) == frozenset()
     assert free_vars(parse_expr("(λ (x) y)")) == frozenset({"y"})
     assert free_vars(Set("x", Num(5))) == frozenset({"x"})
+
+
+_LEAVES = (Num(1), Ref("y"), Opq())
+NODE_SAMPLES = [
+    Num(1),
+    Prim("add1"),
+    Opq(),
+    Ref("x"),
+    Lam("x", _LEAVES[0]),
+    App(*_LEAVES[:2], OPAQUE_LABEL),
+    If(*_LEAVES),
+    Set("x", _LEAVES[0]),
+    DepCon(_LEAVES[0], "x", _LEAVES[1]),
+    Mon(OPAQUE_LABEL, LANGUAGE_LABEL, *_LEAVES[:2]),
+]
+
+
+def test_node_samples_cover_core_kinds():
+    assert {type(e).__name__ for e in NODE_SAMPLES} == CORE_KINDS
+
+
+@pytest.mark.parametrize("node", NODE_SAMPLES, ids=lambda e: type(e).__name__)
+def test_children_are_exactly_the_expr_fields(node):
+    fields = [getattr(node, name) for name in type(node).__slots__]
+    expected = [f for f in fields if isinstance(f, Expr)]
+    children = node.children()
+    assert len(children) == len(expected)
+    assert all(c is f for c, f in zip(children, expected))
+
+
+def test_assigned_vars_sees_set_under_lambda():
+    e = parse_expr("(λ (x) (λ (y) (if x (set! x (λ (z) (set! y z))) 0)))")
+    assert assigned_vars(e) == frozenset({"x", "y"})
+    inner = e.body.body.then.expr
+    assert isinstance(inner, Lam) and assigned_vars(inner) == frozenset({"y"})
+    assert assigned_vars(parse_expr("(λ (x) x)")) == frozenset()
 
 
 def test_print_parse_round_trip():
