@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import ABSTRACT, CONCRETE, Config, RunCtx
+from . import havoc
 from .havoc import HavocMemo, value_key
 from .machine import (
     Addr,
@@ -274,6 +275,9 @@ def run_fixpoint(expr: Expr, config: Config, solver=None, ctx: Optional[RunCtx] 
             trace.close()
         if own_solver and solver is not None:
             solver.close()
+        # value keys are pure functions of values; a later analysis would
+        # only pay for comparing its values against this one's
+        havoc._KEY_CACHE.clear()
 
     ordered = tuple(sorted(blames.values(), key=lambda b: b.key()))
     return AnalysisResult(

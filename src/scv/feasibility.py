@@ -8,9 +8,10 @@ assertion that each of its members is not `Int 0`; an unsatisfiable
 translation proves the execution path infeasible.  Solver answers of
 `unknown` (or no solver at all) count as feasible, the sound direction.
 
-The solver is an external SMT-LIB v2 process spoken to over stdin/stdout;
-`builtin` spawns the bundled fragment solver as a subprocess the same way.
-Verdicts are cached per canonical formula for the life of the client.
+Every check is the same SMT-LIB v2 text, framed by push/pop.  `builtin`
+feeds it to the bundled fragment solver in this process; any other solver
+is an external process spoken to over stdin/stdout.  Verdicts are cached
+per canonical formula for the life of the client.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import logging
 import select
 import shutil
 import subprocess
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .machine import PostValue, VOpq, VPrim
+from .minismt import MiniSolver, parse_sexprs, tokenize
 from .primitives import ONE, PRIM_TABLE, delta
 from .syntax import App, Expr, Lam, Num, Prim, Ref, expr_depth, free_vars, print_expr
 
@@ -209,8 +210,6 @@ def translate_pc(pc: frozenset) -> Formula:
 
 
 def _solver_argv(path: str) -> list[str]:
-    if path == "builtin":
-        return [sys.executable, "-m", "scv.minismt"]
     base = path.rsplit("/", 1)[-1]
     if base.startswith("z3"):
         return [path, "-in", "-smt2"]
@@ -220,8 +219,10 @@ def _solver_argv(path: str) -> list[str]:
 
 
 class SolverClient:
-    """One solver process per run, queried over SMT-LIB text with push/pop
-    around every check.  Failures degrade to `unknown` verdicts."""
+    """One solver per run, queried with SMT-LIB text with push/pop around
+    every check.  `builtin` is the bundled `MiniSolver`, run in this
+    process; any other path names an external solver binary, run as one
+    child process.  Failures degrade to `unknown` verdicts."""
 
     def __init__(self, path: str, timeout: float = 10.0):
         self.path = path
@@ -230,18 +231,16 @@ class SolverClient:
         self.queries = 0
         self.proc: Optional[subprocess.Popen] = None
         self._dead = False
+        self._mini: Optional[MiniSolver] = None
+        if path == "builtin":
+            self._mini = MiniSolver()
+            self._mini.execute(parse_sexprs(tokenize(DATATYPE_DECL))[0])
+            return
         self._start()
-        atexit.register(self.close)
+        if self.proc is not None:
+            atexit.register(self.close)
 
     def _start(self) -> None:
-        env = None
-        if self.path == "builtin":
-            # make sure the spawned interpreter can import this package
-            import os
-
-            pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-            env = dict(os.environ)
-            env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
         try:
             self.proc = subprocess.Popen(
                 _solver_argv(self.path),
@@ -249,7 +248,6 @@ class SolverClient:
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
                 text=True,
-                env=env,
             )
             self._send("(set-logic ALL)")
             self._send(DATATYPE_DECL)
@@ -289,6 +287,9 @@ class SolverClient:
         return verdict
 
     def _check_uncached(self, formula: Formula) -> str:
+        if self._mini is not None:
+            self.queries += 1
+            return self._decide(formula)
         if self._dead or self.proc is None or self.proc.poll() is not None:
             return UNKNOWN
         self.queries += 1
@@ -304,6 +305,24 @@ class SolverClient:
         except (OSError, BrokenPipeError):
             self._mark_dead("solver process failed")
             return UNKNOWN
+
+    def _decide(self, formula: Formula) -> str:
+        """The bundled solver's verdict on the text an external solver
+        would read.  Only declarations and assertions are run, so the query
+        can neither end the process nor disturb the base frame; any failure
+        answers `unknown`, and the check's frame is always popped."""
+        solver = self._mini
+        solver.execute(["push", "1"])
+        try:
+            for form in parse_sexprs(tokenize("\n".join(formula.lines()))):
+                if not (isinstance(form, list) and form and form[0] in ("declare-const", "assert")):
+                    return UNKNOWN
+                solver.execute(form)
+            return solver.check_sat()
+        except Exception:
+            return UNKNOWN
+        finally:
+            solver.execute(["pop", "1"])
 
     def close(self) -> None:
         if self.proc is not None and self.proc.poll() is None:

@@ -27,7 +27,6 @@ __all__ = [
     "SymName",
     "Env",
     "Cache",
-    "INVALIDATED",
     "Addr",
     "LEAK_ADDR",
     "KontAddr",
@@ -192,11 +191,6 @@ class _FrozenMap:
         d[k] = v
         return type(self)(d)
 
-    def set_many(self, pairs):
-        d = dict(self._d)
-        d.update(pairs)
-        return type(self)(d)
-
     def remove(self, k):
         d = dict(self._d)
         d.pop(k, None)
@@ -219,24 +213,8 @@ class Env(_FrozenMap):
     """Variable-to-address binding environment."""
 
 
-class _Invalidated:
-    __slots__ = ()
-    _instance: Optional["_Invalidated"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "∅"
-
-
-INVALIDATED = _Invalidated()
-
-
 class Cache(_FrozenMap):
-    """Store-cache: variable to precise post-value or the invalidated mark."""
+    """Store-cache: variable to precise post-value; absence means invalidated."""
 
 
 # --------------------------------------------------------------------------
@@ -578,8 +556,7 @@ def state_to_dict(state: MachineState, stores: Optional[GlobalStores] = None) ->
         "control": control,
         "pc": sorted(print_expr(e) for e in state.pc),
         "cache": {
-            x: (repr(v) if v is INVALIDATED else {"value": repr(v.value), "sym": _sym_str(v.sym)})
-            for x, v in state.cache.items()
+            x: {"value": repr(v.value), "sym": _sym_str(v.sym)} for x, v in state.cache.items()
         },
         "frames": len(state.frames),
         "transfers": len(state.history),

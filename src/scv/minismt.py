@@ -1,11 +1,13 @@
 """A small SMT-LIB v2 solver for one datatype plus linear integer arithmetic.
 
 This is the fallback back end used when no external solver (z3, cvc4, ...)
-is available: it speaks enough SMT-LIB over stdin/stdout to serve the
-path-condition queries this package emits.  The fragment: one declared
-algebraic datatype whose constructors each carry a single Int field,
-constants of that sort and Int, and assertions built from ite / and / or /
-not / = / distinct / comparisons / + - * / (mod _ 2) over them.
+is available.  `feasibility.SolverClient` runs it in the analysing process
+on the SMT-LIB commands it would send an external solver; it understands
+enough SMT-LIB to serve the path-condition queries this package emits.
+The fragment: one declared algebraic datatype whose constructors each
+carry a single Int field, constants of that sort and Int, and assertions
+built from ite / and / or / not / = / distinct / comparisons / + - * /
+(mod _ 2) over them.
 
 Decision method: enumerate constructor assignments for datatype constants,
 lift ites, split to disjunctions of conjunctions of linear constraints, and
@@ -14,17 +16,14 @@ substituting equalities, with strict comparisons tightened to non-strict
 over the integers first.  Parity congruences are checked for direct
 contradictions.  Anything outside the fragment degrades to `unknown`, never
 to a wrong `unsat`: an `unsat` answer is always a real one.
-
-Run as `python -m scv.minismt`.
 """
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from typing import Optional
 
-__all__ = ["MiniSolver", "main"]
+__all__ = ["MiniSolver"]
 
 MAX_DT_VARS = 8
 MAX_CONSTRAINTS = 4000
@@ -83,18 +82,6 @@ def parse_sexprs(tokens: list[str]) -> list:
     while pos < len(tokens):
         forms.append(rec())
     return forms
-
-
-def complete_forms(buffer: str) -> bool:
-    depth = 0
-    for tok in tokenize(buffer):
-        if tok == "(":
-            depth += 1
-        elif tok == ")":
-            depth -= 1
-            if depth < 0:
-                return True
-    return depth == 0 and buffer.strip() != ""
 
 
 # --------------------------------------------------------------------------
@@ -658,32 +645,3 @@ class MiniSolver:
                     return "unsat"
             les = [l for l in les if not l.is_const()]
         return "sat"
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    solver = MiniSolver()
-    buffer = ""
-    for line in sys.stdin:
-        buffer += line
-        if not complete_forms(buffer):
-            continue
-        try:
-            forms = parse_sexprs(tokenize(buffer))
-        except (ValueError, IndexError):
-            continue  # wait for more input
-        buffer = ""
-        for form in forms:
-            try:
-                answer = solver.execute(form)
-            except SystemExit:
-                return 0
-            except Exception:
-                answer = "unknown" if isinstance(form, list) and form and form[0] == "check-sat" else None
-            if answer is not None:
-                sys.stdout.write(answer + "\n")
-                sys.stdout.flush()
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -32,7 +32,6 @@ __all__ = [
     "refinement_excludes",
     "concrete_refinements",
     "pred_on_refinements",
-    "is_truthy_value",
     "is_proc_value",
     "is_flat_contract_value",
     "trunc_div",
@@ -59,11 +58,6 @@ def is_proc_value(v: Value) -> bool:
 def is_flat_contract_value(v: Value) -> bool:
     """Usable directly as a predicate: primitive functions and lambdas."""
     return isinstance(v, (VPrim, VClo))
-
-
-def is_truthy_value(v: Value) -> bool:
-    """0 is the only falsehood."""
-    return not (isinstance(v, VNum) and v.n == 0)
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .machine import (
     Frame,
     GlobalStores,
     HALT,
-    INVALIDATED,
     MachineState,
     PBlame,
     Pending,
@@ -111,7 +110,7 @@ def lookup(stores: GlobalStores, env: Env, cache: Cache, x: str) -> list[PostVal
     """Cache hit gives the one precise post-value; otherwise every store
     member, nameless."""
     hit = cache.get(x)
-    if hit is not None and hit is not INVALIDATED:
+    if hit is not None:
         return [hit]
     addr = env.get(x)
     if addr is None:
@@ -582,18 +581,17 @@ def _return(state: MachineState, rt: FRt, w: PostValue, ctx: RunCtx) -> list[Mac
     out = {}
     for y, v in saved.items():
         if y == rt.x:
-            if v is not INVALIDATED:
-                out[y] = v
+            out[y] = v
             continue
         if not rt.shared and y in rt.ys and y not in ctx.toplevel:
             continue
         cv = callee.get(y)
-        if cv is not None and cv is not INVALIDATED:
+        if cv is not None:
             out[y] = cv
     for y in ctx.toplevel:
         if y not in out and y != rt.x:
             cv = callee.get(y)
-            if cv is not None and cv is not INVALIDATED:
+            if cv is not None:
                 out[y] = cv
     sym = None if w.sym is None else _truncate(rt.sym, ctx)
     return [_update(state, control=CVal(PostValue(w.value, sym)), cache=Cache(out))]

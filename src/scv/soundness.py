@@ -10,8 +10,8 @@ applications carry the unknown-context label), runs them concretely, and
 checks every transparent concrete blame against the symbolic blame set.
 
 The per-step preservation lemma behind the theorem is exercised
-indirectly through these end-to-end runs; the structural approximation
-checker is kept for direct use on expressions, values, and whole states.
+indirectly through these end-to-end runs; the approximation order is
+checked directly only on expressions, by `approx_expr`.
 """
 
 from __future__ import annotations
@@ -22,28 +22,7 @@ from typing import Optional
 
 from .abstraction import run_concrete, run_fixpoint
 from .config import ABSTRACT, Config
-from .machine import (
-    Cache,
-    CBlame,
-    CEval,
-    Control,
-    CVal,
-    Env,
-    FAppFn,
-    GlobalStores,
-    INVALIDATED,
-    LEAK_ADDR,
-    MachineState,
-    PostValue,
-    VArr,
-    VClo,
-    VGrd,
-    VNum,
-    VOpq,
-    VPrim,
-    Value,
-)
-from .primitives import satisfies, surface_prims
+from .primitives import surface_prims
 from .syntax import (
     App,
     DepCon,
@@ -66,9 +45,6 @@ from .syntax import (
 __all__ = [
     "is_oexpr",
     "approx_expr",
-    "approx_value",
-    "approx_state",
-    "restricted_env",
     "instantiate_expr",
     "instantiate_program",
     "generate_hole_program",
@@ -145,183 +121,6 @@ def approx_expr(a: Expr, b: Expr) -> bool:
             and approx_expr(a.expr, b.expr)
         )
     return False
-
-
-# --------------------------------------------------------------------------
-# Runtime approximation, indexed by an address map
-# --------------------------------------------------------------------------
-
-
-def restricted_env(F: dict, env: Env) -> bool:
-    """Every address the environment reaches is simulated by the leak
-    address: the closure lives entirely in unknown code."""
-    return all(F.get(addr) == LEAK_ADDR for _, addr in env.items())
-
-
-def _restricted_value(F: dict, v: Value) -> bool:
-    if isinstance(v, (VNum,)):
-        return True
-    if isinstance(v, VPrim):
-        return v.arg0 is None or _restricted_value(F, v.arg0)
-    if isinstance(v, VClo):
-        return is_oexpr(v.body, frozenset({v.x}) | frozenset(v.env)) and restricted_env(F, v.env)
-    return False
-
-
-def approx_sym(s, s2) -> bool:
-    return s2 is None or s == s2
-
-
-def approx_value(F: dict, v: Value, v2: Value) -> bool:
-    """`v2` covers `v` under address translation F."""
-    if isinstance(v2, VOpq):
-        if not all(satisfies(v, p) for p in v2.refinements):
-            return False
-        if isinstance(v, (VNum, VOpq)):
-            return True
-        if isinstance(v, VPrim):
-            return v.arg0 is None or approx_value(F, v.arg0, VOpq())
-        if isinstance(v, VClo):
-            return _restricted_value(F, v)
-        return False
-    if isinstance(v, VNum) and isinstance(v2, VNum):
-        return v.n == v2.n
-    if isinstance(v, VPrim) and isinstance(v2, VPrim):
-        if v.op != v2.op:
-            return False
-        if (v.arg0 is None) != (v2.arg0 is None):
-            return False
-        return v.arg0 is None or approx_value(F, v.arg0, v2.arg0)
-    if isinstance(v, VClo) and isinstance(v2, VClo):
-        return (
-            v.x == v2.x
-            and approx_expr(v.body, v2.body)
-            and _approx_env(F, v.env, v2.env)
-            and _approx_pc(v.pc, v2.pc)
-        )
-    if isinstance(v, VGrd) and isinstance(v2, VGrd):
-        return F.get(v.a_dom) == v2.a_dom and F.get(v.a_rng) == v2.a_rng
-    if isinstance(v, VArr) and isinstance(v2, VArr):
-        return (
-            v.pos_label == v2.pos_label
-            and v.neg_label == v2.neg_label
-            and F.get(v.a_con) == v2.a_con
-            and F.get(v.a_fn) == v2.a_fn
-        )
-    return False
-
-
-def _approx_env(F: dict, env: Env, env2: Env) -> bool:
-    if set(env) != set(env2):
-        return False
-    return all(F.get(env[x]) == env2[x] for x in env)
-
-
-def _approx_pc(pc: frozenset, pc2: frozenset) -> bool:
-    # the approximating side may assume fewer facts; each fact it does
-    # assume must be one of the approximated side's
-    return all(any(approx_expr(e, e2) for e in pc) for e2 in pc2)
-
-
-def _approx_cache(F: dict, m: Cache, m2: Cache) -> bool:
-    for x, w2 in m2.items():
-        if w2 is INVALIDATED:
-            continue
-        w = m.get(x)
-        if w is None or w is INVALIDATED:
-            return False
-        if not (approx_value(F, w.value, w2.value) and approx_sym(w.sym, w2.sym)):
-            return False
-    return True
-
-
-def approx_store(F: dict, stores: GlobalStores, stores2: GlobalStores) -> bool:
-    for addr, values in stores.values.items():
-        target = F.get(addr)
-        if target is None:
-            return False
-        covering = stores2.lookup(target)
-        for v in values:
-            if not any(approx_value(F, v, v2) for v2 in covering):
-                return False
-    return True
-
-
-def _approx_postvalue(F: dict, w: PostValue, w2: PostValue) -> bool:
-    return approx_value(F, w.value, w2.value) and approx_sym(w.sym, w2.sym)
-
-
-def _approx_control(F: dict, c: Control, c2: Control) -> bool:
-    if isinstance(c, CEval) and isinstance(c2, CEval):
-        return approx_expr(c.expr, c2.expr) and _approx_env(F, c.env, c2.env)
-    if isinstance(c, CVal) and isinstance(c2, CVal):
-        return _approx_postvalue(F, c.w, c2.w)
-    if isinstance(c, CBlame) and isinstance(c2, CBlame):
-        return (
-            c.pos_label == c2.pos_label
-            and c.neg_label == c2.neg_label
-            and c.pos_label != OPAQUE_LABEL
-        )
-    return False
-
-
-def _restricted_control(F: dict, c: Control) -> bool:
-    if isinstance(c, CEval):
-        return is_oexpr(c.expr, frozenset(c.env)) and restricted_env(F, c.env)
-    if isinstance(c, CVal):
-        return _restricted_value(F, c.w.value)
-    return False
-
-
-def approx_state(
-    F: dict,
-    state: MachineState,
-    stores: GlobalStores,
-    state2: MachineState,
-    stores2: GlobalStores,
-) -> bool:
-    """Component-wise approximation of two states, or the non-structural
-    case: the approximated state runs purely instantiated code while the
-    approximating one sits at an unknown-function application."""
-    if not (_approx_cache(F, state.cache, state2.cache) and _approx_pc(state.pc, state2.pc)):
-        return False
-    if not approx_store(F, stores, stores2):
-        return False
-    if _approx_control(F, state.control, state2.control):
-        if _approx_frames(F, state.frames, state2.frames):
-            return True
-    # non-structural: strip restricted frames above an opaque application
-    if _restricted_control(F, state.control):
-        frames = state.frames
-        while frames and _restricted_frame(F, frames[0]):
-            frames = frames[1:]
-        if (
-            state2.frames
-            and isinstance(state2.frames[0], FAppFn)
-            and isinstance(state2.frames[0].fn.value, VOpq)
-        ):
-            return _approx_frames(F, frames, state2.frames[1:])
-    return False
-
-
-def _restricted_frame(F: dict, f) -> bool:
-    if isinstance(f, FAppFn):
-        return _restricted_value(F, f.fn.value)
-    return False
-
-
-def _approx_frames(F: dict, frames: tuple, frames2: tuple) -> bool:
-    # conservative structural comparison of the intraprocedural segments;
-    # stored continuations are not chased (the end-to-end differential runs
-    # carry the real weight of state-level soundness)
-    if len(frames) != len(frames2):
-        return False
-    for f, f2 in zip(frames, frames2):
-        if type(f) is not type(f2):
-            return False
-        if isinstance(f, FAppFn) and not _approx_postvalue(F, f.fn, f2.fn):
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------

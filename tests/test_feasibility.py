@@ -3,6 +3,8 @@ import itertools
 import random
 import weakref
 
+import pytest
+
 from scv.feasibility import (
     SAT,
     UNKNOWN,
@@ -141,6 +143,53 @@ def test_closed_client_is_released():
     del client
     gc.collect()
     assert ref() is None
+
+
+def test_builtin_solver_starts_no_process(monkeypatch):
+    """The bundled solver runs inside the analysing process, so a run that
+    cannot start processes still prunes infeasible paths."""
+    import subprocess
+
+    from conftest import compile_text, corpus_text, fresh_config
+    from scv.abstraction import run_fixpoint
+
+    def no_process(*args, **kwargs):
+        raise OSError("no process may be started")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    core = compile_text(corpus_text("alias-then-clobber.lms"), escapes=True)
+    res = run_fixpoint(core, fresh_config(solver_path="builtin"))
+    assert res.verified
+
+
+@pytest.mark.parametrize("failure", ["raises", "malformed", "exit"])
+def test_builtin_failed_check_answers_unknown_and_pops(monkeypatch, failure):
+    """A check that fails inside the bundled solver answers unknown and
+    leaves no assertion behind for the next check."""
+    from scv.feasibility import Formula
+    from scv.minismt import MiniSolver
+
+    contradiction = ("(= v!x (IntV 0))", "(not (= v!x (IntV 0)))")
+    broken = {
+        "raises": Formula(("v!x",), contradiction),
+        "malformed": Formula(("v!x",), contradiction + ("(= v!x (IntV 0)",)),
+        "exit": Formula(("v!x",), contradiction + ("true) (exit",)),
+    }[failure]
+    if failure == "raises":
+        real = MiniSolver.check_sat
+
+        def fails_once(self):
+            monkeypatch.setattr(MiniSolver, "check_sat", real)
+            raise RuntimeError("injected solver fault")
+
+        monkeypatch.setattr(MiniSolver, "check_sat", fails_once)
+    client = open_solver("builtin")
+    try:
+        assert client.check(broken) == UNKNOWN
+        assert client.check(Formula(("v!x",), ("(= v!x (IntV 0))",))) == SAT
+        assert client.check(Formula(("v!y",), ("(= v!y (IntV 0))", "(not (= v!y (IntV 0)))"))) == UNSAT
+    finally:
+        client.close()
 
 
 def test_feasibility_monotone_on_random_chains(solver):

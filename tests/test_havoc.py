@@ -106,3 +106,14 @@ def test_memo_is_a_pure_filter_on_corpus():
         without = run_fixpoint(core, fresh_config(no_solver=True, havoc_memo=False, step_budget=2_000_000))
         assert with_memo.blame_pairs() == without.blame_pairs(), name
         assert with_memo.explored_states <= without.explored_states, name
+
+
+def test_run_fixpoint_leaves_value_key_cache_empty():
+    """The value-key cache lives for one analysis only, so a later analysis
+    in the same process does not start out slower."""
+    import scv.havoc
+
+    core = compile_text(corpus_text("callback-counter.lms"), escapes=True)
+    res = run_fixpoint(core, fresh_config(no_solver=True))
+    assert res.explored_states > 0
+    assert not scv.havoc._KEY_CACHE

@@ -5,7 +5,6 @@ from scv.machine import (
     Env,
     GlobalStores,
     HALT,
-    INVALIDATED,
     LEAK_ADDR,
     MachineState,
     PostValue,
@@ -68,9 +67,9 @@ def test_join_values_closure_kept_distinct():
 
 def test_cache_and_env_are_value_maps():
     m = Cache({"x": PostValue(VNum(1), None)})
-    m2 = m.set("y", INVALIDATED)
+    m2 = m.set("y", PostValue(VNum(2), None))
     assert m2.get("x").value == VNum(1)
-    assert m2.get("y") is INVALIDATED
+    assert m2.get("y").value == VNum(2)
     assert "y" not in m
     assert m2.remove("y") == m
     e = Env({"x": ("var", "x", frozenset())})

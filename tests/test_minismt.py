@@ -1,7 +1,3 @@
-import subprocess
-import sys
-
-from conftest import subprocess_env
 from scv.minismt import MiniSolver, parse_sexprs, tokenize
 
 DATATYPE = (
@@ -102,27 +98,3 @@ def test_push_pop_isolate_assertions():
     for form in parse_sexprs(tokenize("(pop 1)")):
         s.execute(form)
     assert check(s, "(check-sat)") == "sat"
-
-
-def test_subprocess_session():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "scv.minismt"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        text=True,
-        env=subprocess_env(),
-    )
-    script = "\n".join([
-        DATATYPE,
-        "(declare-const a V)",
-        "(assert (not (= a (IntV 0))))",
-        "(check-sat)",
-        "(push 1)",
-        "(assert (= a (IntV 0)))",
-        "(check-sat)",
-        "(pop 1)",
-        "(check-sat)",
-        "(exit)",
-    ]) + "\n"
-    out, _ = proc.communicate(script, timeout=30)
-    assert out.split() == ["sat", "unsat", "sat"]

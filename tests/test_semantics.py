@@ -252,7 +252,6 @@ def test_cache_soundness_instrumented_concrete_runs():
     import os
 
     from conftest import CORPUS_DIR, corpus_text
-    from scv.machine import GlobalStores, INVALIDATED
 
     for name in ("factorial.lms", "countdown-divider.lms", "callback-counter.lms"):
         core = compile_text(corpus_text(name))
@@ -265,7 +264,7 @@ def test_cache_soundness_instrumented_concrete_runs():
             if isinstance(state.control, CEval):
                 env = state.control.env
                 for x, w in state.cache.items():
-                    if w is INVALIDATED or x not in env:
+                    if x not in env:
                         continue
                     cell = stores.lookup(env[x])
                     assert cell == frozenset({w.value}), (name, x, w, cell)

@@ -2,10 +2,8 @@ import random
 
 from conftest import compile_text, corpus_text, fresh_config
 from scv.abstraction import run_concrete, run_fixpoint
-from scv.machine import LEAK_ADDR, load
 from scv.soundness import (
     approx_expr,
-    approx_state,
     differential_check,
     generate_hole_program,
     instantiate_expr,
@@ -63,24 +61,6 @@ def test_instantiate_postconditions():
             assert approx_expr(a, b), (print_expr(a), print_expr(b))
 
 
-def test_approx_state_reflexive_on_loaded_programs():
-    core = compile_text("(add1 (quotient-free 1))".replace("(quotient-free 1)", "1"))
-    state, stores = load(core)
-    F = {addr: addr for addr in stores.values}
-    assert approx_state(F, state, stores, state, stores)
-
-
-def test_approx_state_load_of_approximated_programs():
-    holed = compile_text("(add1 •)")
-    inst = compile_text("(add1 7)")
-    s_inst, st_inst = load(inst)
-    s_holed, st_holed = load(holed)
-    F = {LEAK_ADDR: LEAK_ADDR}
-    assert approx_state(F, s_inst, st_inst, s_holed, st_holed)
-    # and not the other way round
-    assert not approx_state(F, s_holed, st_holed, s_inst, st_inst)
-
-
 def test_differential_on_unsafe_corpus_program():
     """A hand-built context triggers the callback-counter range blame; the
     symbolic analysis of the holed program must already report it."""
@@ -133,45 +113,3 @@ def test_differential_random_sweep():
             (pos, neg, print_expr(inst.main)[:200]) for inst, pos, neg in rep.violations
         ]
         assert not rep.inconclusive
-
-
-def test_approx_value_restricted_closure_under_unknown():
-    """A closure whose body is instantiation-grammar code and whose
-    environment lives entirely in unknown territory is covered by the
-    unknown value."""
-    from scv.machine import Env, VClo, VNum, VOpq
-    from scv.soundness import approx_value
-    from scv.syntax import App, Lam, Ref
-
-    addr = ("fresh", "y", 1)
-    F = {addr: LEAK_ADDR}
-    body = App(Ref("x"), Ref("y"), OPAQUE_LABEL)
-    clo = VClo("x", body, Env({"y": addr}), frozenset())
-    assert approx_value(F, clo, VOpq())
-    # same closure with a transparent-labeled body is not covered
-    from scv.syntax import Label
-
-    body_t = App(Ref("x"), Ref("y"), Label("site", "transparent"))
-    clo_t = VClo("x", body_t, Env({"y": addr}), frozenset())
-    assert not approx_value(F, clo_t, VOpq())
-    # nor if the environment escapes the leak map
-    F_bad = {addr: ("var", "y", frozenset())}
-    assert not approx_value(F_bad, clo, VOpq())
-    # refinements must be honored
-    assert approx_value({}, VNum(4), VOpq(frozenset({"int?", "even?"})))
-    assert not approx_value({}, VNum(3), VOpq(frozenset({"int?", "even?"})))
-
-
-def test_approx_state_mismatched_blame_labels():
-    from scv.machine import CBlame, Cache, GlobalStores, HALT, MachineState
-    from scv.syntax import Label
-
-    def blame_state(pos):
-        return MachineState(
-            CBlame(Label(pos, "transparent"), Label("q", "transparent")),
-            Cache(), frozenset(), (), HALT, frozenset(),
-        )
-
-    stores = GlobalStores()
-    assert approx_state({}, blame_state("p"), stores, blame_state("p"), stores)
-    assert not approx_state({}, blame_state("p"), stores, blame_state("r"), stores)
