@@ -9,9 +9,16 @@ carry a single Int field, constants of that sort and Int, and assertions
 built from ite / and / or / not / = / distinct / comparisons / + - * /
 (mod _ 2) over them.
 
-Decision method: enumerate constructor assignments for datatype constants,
-lift ites, split to disjunctions of conjunctions of linear constraints, and
-decide each conjunction by exact-fraction Fourier-Motzkin elimination after
+Decision method: a depth-first search picks one datatype constant's
+constructor at a time and translates each assertion as soon as all of its
+constants are chosen; a partial conjunction that folds to false cuts the
+whole subtree.  Atoms over constants fold to true or false while they are
+built, so `(not (= (ite c (IntV 1) (IntV 0)) (IntV 0)))` becomes `c`.  Under
+a full assignment the formula is lifted to linear atoms and searched
+depth-first over its disjunctions; before each split the atoms collected so
+far are checked, and an infeasible prefix cuts the branch (DPLL(T)'s early
+theory check, Nieuwenhuis, Oliveras and Tinelli, JACM 2006).  A conjunction
+of atoms is decided by exact-fraction Fourier-Motzkin elimination after
 substituting equalities, with strict comparisons tightened to non-strict
 over the integers first.  Parity congruences are checked for direct
 contradictions.  Anything outside the fragment degrades to `unknown`, never
@@ -84,6 +91,16 @@ def parse_sexprs(tokens: list[str]) -> list:
     return forms
 
 
+def _symbols(form, out: set) -> set:
+    """Every atom of an s-expression, added to `out`."""
+    if isinstance(form, list):
+        for f in form:
+            _symbols(f, out)
+    else:
+        out.add(form)
+    return out
+
+
 # --------------------------------------------------------------------------
 # Formula representation
 # --------------------------------------------------------------------------
@@ -131,7 +148,19 @@ FALSE = ("false",)
 # ("le", Lin)   : lin <= 0
 # ("eq", Lin)   : lin = 0
 # ("cong", Lin, r) : lin = r (mod 2)
-# ("free", id)  : truth value unconstrained (out-of-fragment atom)
+
+
+def atom(tag: str, lin: Lin, r: int = 0):
+    """A linear atom, folded to TRUE or FALSE when `lin` has no variables."""
+    if lin.is_const():
+        if tag == "le":
+            holds = lin.const <= 0
+        elif tag == "eq":
+            holds = lin.const == 0
+        else:
+            holds = lin.const % 2 == r % 2
+        return TRUE if holds else FALSE
+    return ("cong", lin, r) if tag == "cong" else (tag, lin)
 
 
 def f_not(f):
@@ -139,6 +168,8 @@ def f_not(f):
         return FALSE
     if f == FALSE:
         return TRUE
+    if f[0] == "not":
+        return f[1]
     return ("not", f)
 
 
@@ -235,6 +266,7 @@ class MiniSolver:
 
     def check_sat(self) -> str:
         self._work = 0
+        self._fresh = 0
         try:
             return self._check_sat()
         except OutOfBudget:
@@ -247,46 +279,42 @@ class MiniSolver:
 
     def _check_sat(self) -> str:
         assertions = [a for frame in self.frames for a in frame]
+        mentioned = [_symbols(a, set()) for a in assertions]
         dt_vars = sorted(
-            v for v, sort in self.consts.items() if sort not in ("Int", "Bool") and self._occurs(v, assertions)
+            v for v in set().union(*mentioned) if self.consts.get(v, "Int") not in ("Int", "Bool")
         )
-        if len(dt_vars) > MAX_DT_VARS or not self.ctor_list:
-            if assertions and not self.ctor_list:
-                return "unknown"
-            if len(dt_vars) > MAX_DT_VARS:
-                return "unknown"
+        if len(dt_vars) > MAX_DT_VARS or (assertions and not self.ctor_list):
+            return "unknown"
+        # Constants are chosen in reverse sorted order, and each assertion
+        # is translated at the depth where the last of its constants is.
+        order = dt_vars[::-1]
+        depth = {v: i + 1 for i, v in enumerate(order)}
+        stages: list[list] = [[] for _ in range(len(order) + 1)]
+        for a, names in zip(assertions, mentioned):
+            stages[max((depth[v] for v in names if v in depth), default=0)].append(a)
+        return self._search(order, stages, {}, TRUE)
+
+    def _search(self, order: list[str], stages: list[list], assign: dict, conj) -> str:
+        """Constructor choices for `order[len(assign):]`, depth first, under
+        the partial conjunction `conj` of the assertions translated so far."""
+        self._spend(8)
+        k = len(assign)
+        try:
+            conj = f_and([conj] + [self._formula(a, assign) for a in stages[k]])
+        except Unsupported:
+            return "unknown"
+        if conj == FALSE:
+            return "unsat"
+        if k == len(order):
+            return self._sat_formula(conj)
         saw_unknown = False
-        for assign in self._assignments(dt_vars):
-            self._spend(8)
-            try:
-                formulas = [self._formula(a, assign) for a in assertions]
-            except Unsupported:
-                saw_unknown = True
-                continue
-            verdict = self._sat_formula(f_and(formulas))
+        for ctor in self.ctor_list:
+            verdict = self._search(order, stages, {**assign, order[k]: ctor}, conj)
             if verdict == "sat":
                 return "sat"
             if verdict == "unknown":
                 saw_unknown = True
         return "unknown" if saw_unknown else "unsat"
-
-    def _occurs(self, name: str, forms) -> bool:
-        for f in forms:
-            if isinstance(f, list):
-                if self._occurs(name, f):
-                    return True
-            elif f == name:
-                return True
-        return False
-
-    def _assignments(self, dt_vars: list[str]):
-        if not dt_vars:
-            yield {}
-            return
-        head, rest = dt_vars[0], dt_vars[1:]
-        for sub in self._assignments(rest):
-            for ctor in self.ctor_list:
-                yield {head: ctor, **sub}
 
     # -- translation to formulas under a constructor assignment -------------
 
@@ -436,7 +464,7 @@ class MiniSolver:
                             continue
                         if not r.is_const() or r.const not in (0, 1):
                             raise Unsupported(x)
-                        out.append(f_and([g, ("cong", t, int(r.const))]))
+                        out.append(f_and([g, atom("cong", t, int(r.const))]))
                 return f_or(out)
         if self._is_vsort(a, assign) or self._is_vsort(b, assign):
             out = []
@@ -447,7 +475,7 @@ class MiniSolver:
                         continue
                     if c1 != c2:
                         continue  # this alternative contributes falsity
-                    out.append(f_and([g, ("eq", l1.add(l2.scale(Fraction(-1))))]))
+                    out.append(f_and([g, atom("eq", l1.add(l2.scale(Fraction(-1))))]))
             return f_or(out)
         out = []
         for g1, l1 in self._iterm(a, assign):
@@ -455,7 +483,7 @@ class MiniSolver:
                 g = f_and([g1, g2])
                 if g == FALSE:
                     continue
-                out.append(f_and([g, ("eq", l1.add(l2.scale(Fraction(-1))))]))
+                out.append(f_and([g, atom("eq", l1.add(l2.scale(Fraction(-1))))]))
         return f_or(out)
 
     def _compare(self, op: str, a, b, assign):
@@ -472,7 +500,7 @@ class MiniSolver:
                 diff = l1.add(l2.scale(Fraction(-1)))
                 if op == "<":
                     diff = diff.add(Lin.of_const(1))  # integer strictness
-                out.append(f_and([g, ("le", diff)]))
+                out.append(f_and([g, atom("le", diff)]))
         return f_or(out)
 
     # -- satisfiability of lifted formulas -----------------------------------
@@ -513,7 +541,9 @@ class MiniSolver:
             return self._explore(self._negate(f[1]), atoms)
         return "unknown"
 
-    def _explore_seq(self, fs, atoms) -> str:
+    def _explore_seq(self, fs, atoms, checked: int = 0) -> str:
+        """Depth-first search of the conjunction `fs` under `atoms`, whose
+        first `checked` atoms are already known not to be infeasible."""
         flat_atoms = list(atoms)
         complex_fs = []
         for sub in fs:
@@ -529,18 +559,24 @@ class MiniSolver:
             return self._lin_feasible(flat_atoms)
         head, rest = complex_fs[0], complex_fs[1:]
         if head[0] == "and":
-            return self._explore_seq(list(head[1]) + rest, flat_atoms)
+            return self._explore_seq(list(head[1]) + rest, flat_atoms, checked)
         if head[0] == "or":
+            # Infeasibility only grows with the atom set, so an infeasible
+            # prefix cuts every branch below it.
+            if len(flat_atoms) > checked:
+                if self._lin_feasible(flat_atoms) == "unsat":
+                    return "unsat"
+                checked = len(flat_atoms)
             saw_unknown = False
             for alt in head[1]:
-                r = self._explore_seq([alt] + rest, flat_atoms)
+                r = self._explore_seq([alt] + rest, flat_atoms, checked)
                 if r == "sat":
                     return "sat"
                 if r == "unknown":
                     saw_unknown = True
             return "unknown" if saw_unknown else "unsat"
         if head[0] == "not":
-            return self._explore_seq([self._negate(head[1])] + rest, flat_atoms)
+            return self._explore_seq([self._negate(head[1])] + rest, flat_atoms, checked)
         return "unknown"
 
     def _negate(self, f):
@@ -552,17 +588,17 @@ class MiniSolver:
         if tag == "not":
             return f[1]
         if tag == "and":
-            return ("or", [self._negate(x) for x in f[1]])
+            return f_or([self._negate(x) for x in f[1]])
         if tag == "or":
-            return ("and", [self._negate(x) for x in f[1]])
+            return f_and([self._negate(x) for x in f[1]])
         if tag == "le":  # not (t <= 0)  <=>  -t + 1 <= 0 over the integers
-            return ("le", f[1].scale(Fraction(-1)).add(Lin.of_const(1)))
+            return atom("le", f[1].scale(Fraction(-1)).add(Lin.of_const(1)))
         if tag == "eq":  # split into < or >
-            lt = ("le", f[1].add(Lin.of_const(1)))
-            gt = ("le", f[1].scale(Fraction(-1)).add(Lin.of_const(1)))
-            return ("or", [lt, gt])
+            lt = atom("le", f[1].add(Lin.of_const(1)))
+            gt = atom("le", f[1].scale(Fraction(-1)).add(Lin.of_const(1)))
+            return f_or([lt, gt])
         if tag == "cong":
-            return ("cong", f[1], 1 - f[2])
+            return atom("cong", f[1], 1 - f[2])
         return ("not", f)
 
     # -- conjunction of linear atoms ------------------------------------------

@@ -9,7 +9,8 @@ Criteria:
      whole corpus and on 200 random hole-free programs of at most 60 nodes.
   4. Feasibility soundness: on 500 generated path conditions over at most 3
      symbols with linear predicates, every infeasible verdict is confirmed
-     by brute-force enumeration over -4..4 (plus a function token).
+     by brute-force enumeration over -4..4 (plus a function token), and
+     none is answered unknown.
   5. Primitive/widening soundness: exhaustive brute force over the small
      value universe confirms refinement transfer and widening
      concretization; zero violations.
@@ -34,7 +35,7 @@ from conftest import (
 )
 from scv.abstraction import run_concrete, run_fixpoint, widen
 from scv.config import Config
-from scv.feasibility import UNSAT, open_solver, translate_pc
+from scv.feasibility import UNKNOWN, UNSAT, open_solver, translate_pc
 from scv.machine import Env, VClo, VNum, VOpq, VPrim
 from scv.primitives import BASE_VOCAB, delta, satisfies
 from scv.soundness import differential_check, generate_hole_program
@@ -129,16 +130,21 @@ def test_criterion_4_feasibility_soundness(solver):
 
     rng = random.Random(424242)
     pruned = checked = 0
+    undecided = []
     for _ in range(500):
         pc, names = tf.gen_linear_pc(rng)
         checked += 1
-        if solver.check(translate_pc(pc)) == UNSAT:
+        verdict = solver.check(translate_pc(pc))
+        if verdict == UNSAT:
             pruned += 1
             assert not tf.pc_satisfiable_brute(pc, names), sorted(map(str, pc))
+        elif verdict == UNKNOWN:
+            undecided.append(sorted(map(str, pc)))
     assert pruned > 10
+    assert undecided == []
     print(
         f"PASS criterion-4 feasibility: {checked} path conditions, "
-        f"{pruned} infeasible verdicts all brute-confirmed"
+        f"{pruned} infeasible verdicts all brute-confirmed, none unknown"
     )
 
 

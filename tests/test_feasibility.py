@@ -331,6 +331,61 @@ def gen_rich_pc(rng):
     return frozenset(sym(entry()) for _ in range(rng.randint(1, 4))), names
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # criterion 4's path condition 111: the facts about b0 clash, and b1
+        # and b2 add constructor choices that must not exhaust the budget
+        ("(= b0 -3)", "(positive? b0)", "(zero? b1)", "(zero? b2)"),
+        # the blame path of `(if (= 0 y) 0 (/ x y))`: y tested equal to 0,
+        # then used as a divisor
+        ("(int? ((= 0) y1))", "(zero? ((= 0) y1))", "(zero? (nonzero? y1))"),
+    ],
+    ids=["criterion-4-pc-111", "safe-div"],
+)
+def test_infeasible_path_condition_is_decided(entries):
+    client = open_solver("builtin")
+    try:
+        assert client.check(translate_pc(frozenset(sym(t) for t in entries))) == UNSAT
+    finally:
+        client.close()
+
+
+def test_verdicts_do_not_depend_on_query_order():
+    """A verdict depends only on its query: two fresh clients checking the
+    criterion-4 path conditions in opposite orders agree on every one."""
+    rng = random.Random(424242)
+    formulas = [translate_pc(gen_linear_pc(rng)[0]) for _ in range(500)]
+    forward, backward = open_solver("builtin"), open_solver("builtin")
+    try:
+        ahead = [forward.check(f) for f in formulas]
+        behind = [backward.check(f) for f in reversed(formulas)][::-1]
+    finally:
+        forward.close()
+        backward.close()
+    assert ahead == behind
+    assert UNKNOWN not in ahead
+
+
+def test_safe_div_verifies_with_builtin_solver():
+    """A division guarded by `(= 0 y)` cannot divide by zero; the builtin
+    solver must refute the blame's path condition rather than give up."""
+    from conftest import compile_text, fresh_config
+    from scv.abstraction import run_fixpoint
+
+    text = """(define/contract safe-div (->d int? x (->d int? y int?))
+  (λ (x) (λ (y) (if (= 0 y) 0 (/ x y)))))
+0
+"""
+    client = open_solver("builtin")
+    try:
+        res = run_fixpoint(compile_text(text, escapes=True), fresh_config(), solver=client)
+    finally:
+        client.close()
+    assert res.blames == ()
+    assert res.verified
+
+
 def test_infeasibility_sound_on_rich_arithmetic(solver):
     rng = random.Random(8080)
     pruned = 0
