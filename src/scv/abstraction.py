@@ -13,7 +13,7 @@ it was last processed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .config import ABSTRACT, CONCRETE, Config, RunCtx
@@ -168,6 +168,7 @@ class AnalysisResult:
     verified: bool
     inconclusive: bool
     final_values: tuple
+    solver_failures: int  # checks answered unknown because the solver failed
 
     def blame_pairs(self) -> frozenset:
         return frozenset((b.positive, b.negative) for b in self.blames)
@@ -210,6 +211,7 @@ def run_fixpoint(expr: Expr, config: Config, solver=None, ctx: Optional[RunCtx] 
         own_solver = solver is not None
     if ctx is None:
         ctx = _make_ctx(expr, config, solver)
+    failures_before = ctx.solver.failures if ctx.solver is not None else 0
 
     state0, stores = load(expr)
     trace = open(config.trace_path, "w") if config.trace_path else None
@@ -286,6 +288,7 @@ def run_fixpoint(expr: Expr, config: Config, solver=None, ctx: Optional[RunCtx] 
         verified=(not ordered) and (not inconclusive),
         inconclusive=inconclusive,
         final_values=tuple(sorted(finals)),
+        solver_failures=ctx.solver.failures - failures_before if ctx.solver is not None else 0,
     )
 
 
@@ -296,13 +299,7 @@ def run_concrete(expr: Expr, config: Optional[Config] = None, max_steps: int = 2
 
     config = config or Config(mode=CONCRETE)
     if config.mode != CONCRETE:
-        config = Config(
-            mode=CONCRETE,
-            max_sym_depth=config.max_sym_depth,
-            step_budget=config.step_budget,
-            no_solver=True,
-            trace_path=config.trace_path,
-        )
+        config = replace(config, mode=CONCRETE, no_solver=True)
     ctx = _make_ctx(expr, config, None)
     state, stores = load(expr)
     trace = open(config.trace_path, "w") if config.trace_path else None

@@ -88,6 +88,7 @@ def _report(result: AnalysisResult, checks: int, path: str, mode: str, fmt: str,
             "states": result.explored_states,
             "inconclusive": result.inconclusive,
             "verified": result.verified,
+            "solver_failures": result.solver_failures,
             "blames": [
                 {
                     "positive": b.positive,
@@ -106,6 +107,8 @@ def _report(result: AnalysisResult, checks: int, path: str, mode: str, fmt: str,
         out.write(f"  path condition: {pc}\n")
     if result.inconclusive:
         out.write("warning: step budget exhausted; result is inconclusive\n")
+    if result.solver_failures:
+        out.write(f"warning: the solver failed on {result.solver_failures} checks; they counted as feasible\n")
     out.write(f"checks: {checks}, verified: {verified_count}, potential: {potential}\n")
 
 
@@ -151,14 +154,7 @@ def cmd_run(args) -> int:
 
 def cmd_fuzz(args) -> int:
     rng = random.Random(args.seed)
-    config = Config(
-        mode=ABSTRACT,
-        max_sym_depth=args.sym_depth,
-        step_budget=args.steps,
-        solver_path=args.solver,
-        no_solver=args.no_solver,
-        havoc_memo=not args.no_havoc_memo,
-    )
+    config = _config_from_args(args, ABSTRACT)
     violations = 0
     inconclusive = 0
     for i in range(args.programs):

@@ -17,7 +17,6 @@ per canonical formula for the life of the client.
 from __future__ import annotations
 
 import atexit
-import logging
 import select
 import shutil
 import subprocess
@@ -27,7 +26,7 @@ from typing import Optional
 from .machine import PostValue, VOpq, VPrim
 from .minismt import MiniSolver, parse_sexprs, tokenize
 from .primitives import ONE, PRIM_TABLE, delta
-from .syntax import App, Expr, Lam, Num, Prim, Ref, expr_depth, free_vars, print_expr
+from .syntax import SYM_LABEL, App, Expr, Lam, Num, Prim, Ref, expr_depth, free_vars, print_expr
 
 __all__ = [
     "Formula",
@@ -45,8 +44,6 @@ __all__ = [
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
-
-log = logging.getLogger(__name__)
 
 DATATYPE_DECL = (
     "(declare-datatypes ((V 0)) (((IntV (iv Int)) (OpV (ov Int)) "
@@ -222,13 +219,15 @@ class SolverClient:
     """One solver per run, queried with SMT-LIB text with push/pop around
     every check.  `builtin` is the bundled `MiniSolver`, run in this
     process; any other path names an external solver binary, run as one
-    child process.  Failures degrade to `unknown` verdicts."""
+    child process.  Failures degrade to `unknown` verdicts, and `failures`
+    counts the checks answered that way."""
 
     def __init__(self, path: str, timeout: float = 10.0):
         self.path = path
         self.timeout = timeout
         self.cache: dict[tuple, str] = {}
         self.queries = 0
+        self.failures = 0
         self.proc: Optional[subprocess.Popen] = None
         self._dead = False
         self._mini: Optional[MiniSolver] = None
@@ -263,19 +262,18 @@ class SolverClient:
     def _read_verdict(self) -> str:
         assert self.proc is not None and self.proc.stdout is not None
         ready, _, _ = select.select([self.proc.stdout], [], [], self.timeout)
-        if not ready:
-            self._mark_dead("solver timed out")
-            return UNKNOWN
+        if not ready:  # timed out
+            return self._mark_dead()
         line = self.proc.stdout.readline().strip()
-        if not line:
-            self._mark_dead("solver closed its output")
-            return UNKNOWN
+        if not line:  # closed its output
+            return self._mark_dead()
         return line if line in (SAT, UNSAT, UNKNOWN) else UNKNOWN
 
-    def _mark_dead(self, why: str) -> None:
-        if not self._dead:
-            log.warning("%s (%s); continuing without path pruning", why, self.path)
+    def _mark_dead(self) -> str:
+        """Stop using the external solver and count the check it failed."""
         self._dead = True
+        self.failures += 1
+        return UNKNOWN
 
     def check(self, formula: Formula) -> str:
         key = formula.key()
@@ -291,7 +289,7 @@ class SolverClient:
             self.queries += 1
             return self._decide(formula)
         if self._dead or self.proc is None or self.proc.poll() is not None:
-            return UNKNOWN
+            return self._mark_dead()
         self.queries += 1
         try:
             self._send("(push 1)")
@@ -303,23 +301,24 @@ class SolverClient:
                 self._send("(pop 1)")
             return verdict
         except (OSError, BrokenPipeError):
-            self._mark_dead("solver process failed")
-            return UNKNOWN
+            return self._mark_dead()
 
     def _decide(self, formula: Formula) -> str:
         """The bundled solver's verdict on the text an external solver
         would read.  Only declarations and assertions are run, so the query
-        can neither end the process nor disturb the base frame; any failure
-        answers `unknown`, and the check's frame is always popped."""
+        cannot disturb the base frame; any failure is counted and answers
+        `unknown`, and the check's frame is always popped."""
         solver = self._mini
         solver.execute(["push", "1"])
         try:
             for form in parse_sexprs(tokenize("\n".join(formula.lines()))):
                 if not (isinstance(form, list) and form and form[0] in ("declare-const", "assert")):
+                    self.failures += 1
                     return UNKNOWN
                 solver.execute(form)
             return solver.check_sat()
         except Exception:
+            self.failures += 1
             return UNKNOWN
         finally:
             solver.execute(["pop", "1"])
@@ -351,21 +350,12 @@ def open_solver(name_or_path: Optional[str]) -> Optional[SolverClient]:
 # The feasible relation
 # --------------------------------------------------------------------------
 
-_COMPLEMENT = {"nonzero?": "zero?", "zero?": "nonzero?", "proc?": "nonproc?", "nonproc?": "proc?"}
-
-
 def encode_pred(pred: str, sym: Expr) -> Expr:
     """Path-condition entry recording that `pred` held of the value named by
     `sym`: a bare sym means non-false, otherwise apply the predicate."""
     if pred == "nonzero?":
         return sym
-    return App(Prim(pred), sym, _sym_label())
-
-
-def _sym_label():
-    from .syntax import SYM_LABEL
-
-    return SYM_LABEL
+    return App(Prim(pred), sym, SYM_LABEL)
 
 
 def feasible(

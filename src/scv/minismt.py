@@ -204,9 +204,6 @@ def f_or(fs):
 
 class MiniSolver:
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         self.ctors: dict[str, str] = {}  # accessor -> ctor
         self.ctor_list: list[str] = []
         self.consts: dict[str, str] = {}  # name -> sort
@@ -221,7 +218,7 @@ class MiniSolver:
         head = form[0]
         if head == "declare-datatypes":
             self._declare_datatypes(form)
-        elif head in ("declare-const", "declare-fun"):
+        elif head == "declare-const":
             name = form[1]
             sort = form[-1]
             self.consts[name] = sort if isinstance(sort, str) else "?"
@@ -238,13 +235,7 @@ class MiniSolver:
                     self.frames.pop()
         elif head == "check-sat":
             return self.check_sat()
-        elif head == "reset":
-            self.reset()
-        elif head == "reset-assertions":
-            self.frames = [[]]
-        elif head == "exit":
-            raise SystemExit(0)
-        # set-logic / set-option / set-info / get-info: ignored
+        # set-logic: ignored
         return None
 
     def _declare_datatypes(self, form) -> None:

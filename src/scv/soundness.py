@@ -87,40 +87,14 @@ def approx_expr(a: Expr, b: Expr) -> bool:
         if isinstance(a, Lam):
             return is_oexpr(a.body, frozenset({a.x}))
         return False
-    if isinstance(a, Num) and isinstance(b, Num):
-        return a.n == b.n
-    if isinstance(a, Prim) and isinstance(b, Prim):
-        return a.op == b.op
-    if isinstance(a, Ref) and isinstance(b, Ref):
-        return a.x == b.x
-    if isinstance(a, Lam) and isinstance(b, Lam):
-        return a.x == b.x and approx_expr(a.body, b.body)
-    if isinstance(a, App) and isinstance(b, App):
-        return (
-            a.label == b.label
-            and a.label != OPAQUE_LABEL
-            and approx_expr(a.fn, b.fn)
-            and approx_expr(a.arg, b.arg)
-        )
-    if isinstance(a, If) and isinstance(b, If):
-        return (
-            approx_expr(a.cond, b.cond)
-            and approx_expr(a.then, b.then)
-            and approx_expr(a.orelse, b.orelse)
-        )
-    if isinstance(a, Set) and isinstance(b, Set):
-        return a.x == b.x and approx_expr(a.expr, b.expr)
-    if isinstance(a, DepCon) and isinstance(b, DepCon):
-        return a.x == b.x and approx_expr(a.dom, b.dom) and approx_expr(a.rng, b.rng)
-    if isinstance(a, Mon) and isinstance(b, Mon):
-        return (
-            a.pos_label == b.pos_label
-            and a.neg_label == b.neg_label
-            and OPAQUE_LABEL not in (a.pos_label, a.neg_label)
-            and approx_expr(a.contract, b.contract)
-            and approx_expr(a.expr, b.expr)
-        )
-    return False
+    # same kind, same names and labels
+    if type(a) is not type(b) or a.rebuild(b.children()) != b:
+        return False
+    if isinstance(a, App) and a.label == OPAQUE_LABEL:
+        return False
+    if isinstance(a, Mon) and OPAQUE_LABEL in (a.pos_label, a.neg_label):
+        return False
+    return all(approx_expr(x, y) for x, y in zip(a.children(), b.children()))
 
 
 # --------------------------------------------------------------------------
@@ -172,42 +146,7 @@ def instantiate_expr(e: Expr, rng: random.Random, budget: int = 12) -> Expr:
     """Replace every hole with a generated closed value."""
     if isinstance(e, Opq):
         return _gen_instantiation(rng, budget)
-    if isinstance(e, (Num, Prim, Ref)):
-        return e
-    if isinstance(e, Lam):
-        return Lam(e.x, instantiate_expr(e.body, rng, budget), e.pos)
-    if isinstance(e, App):
-        return App(
-            instantiate_expr(e.fn, rng, budget),
-            instantiate_expr(e.arg, rng, budget),
-            e.label,
-            e.pos,
-        )
-    if isinstance(e, If):
-        return If(
-            instantiate_expr(e.cond, rng, budget),
-            instantiate_expr(e.then, rng, budget),
-            instantiate_expr(e.orelse, rng, budget),
-            e.pos,
-        )
-    if isinstance(e, Set):
-        return Set(e.x, instantiate_expr(e.expr, rng, budget), e.pos)
-    if isinstance(e, DepCon):
-        return DepCon(
-            instantiate_expr(e.dom, rng, budget),
-            e.x,
-            instantiate_expr(e.rng, rng, budget),
-            e.pos,
-        )
-    if isinstance(e, Mon):
-        return Mon(
-            e.pos_label,
-            e.neg_label,
-            instantiate_expr(e.contract, rng, budget),
-            instantiate_expr(e.expr, rng, budget),
-            e.pos,
-        )
-    raise AssertionError(f"unexpected node {type(e).__name__}")
+    return e.rebuild([instantiate_expr(c, rng, budget) for c in e.children()])
 
 
 def instantiate_program(program: SurfaceProgram, rng: random.Random, budget: int = 12) -> SurfaceProgram:

@@ -25,6 +25,7 @@ source text.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -145,6 +146,17 @@ class Expr:
         """The sub-expressions, in field order."""
         return ()
 
+    def rebuild(self, kids) -> Expr:
+        """This node with the sequence `kids` in place of `children()`: the
+        node itself when every kid is its current child, else a new node of
+        the same kind with the same names, labels and position."""
+        if all(map(operator.is_, kids, self.children())):
+            return self
+        return self._make(*kids)
+
+    def __setattr__(self, *a):  # immutability guard
+        raise AttributeError("immutable")
+
     @_per_node("_hash")
     def __hash__(self) -> int:
         return hash(self._key())
@@ -165,9 +177,6 @@ class Num(Expr):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "pos", pos)
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("immutable")
-
     def _key(self):
         return ("num", self.n)
 
@@ -178,9 +187,6 @@ class Prim(Expr):
     def __init__(self, op: str, pos: Position = NO_POS):
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "pos", pos)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("immutable")
 
     def _key(self):
         return ("prim", self.op)
@@ -194,9 +200,6 @@ class Opq(Expr):
     def __init__(self, pos: Position = NO_POS):
         object.__setattr__(self, "pos", pos)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("immutable")
-
     def _key(self):
         return ("opq",)
 
@@ -209,14 +212,14 @@ class Lam(Expr):
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "pos", pos)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("immutable")
-
     def _key(self):
         return ("lam", self.x, self.body)
 
     def children(self):
         return (self.body,)
+
+    def _make(self, body):
+        return Lam(self.x, body, self.pos)
 
 
 class Ref(Expr):
@@ -225,9 +228,6 @@ class Ref(Expr):
     def __init__(self, x: str, pos: Position = NO_POS):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "pos", pos)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("immutable")
 
     def _key(self):
         return ("ref", self.x)
@@ -242,14 +242,14 @@ class App(Expr):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "pos", pos)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("immutable")
-
     def _key(self):
         return ("app", self.fn, self.arg, self.label)
 
     def children(self):
         return (self.fn, self.arg)
+
+    def _make(self, fn, arg):
+        return App(fn, arg, self.label, self.pos)
 
 
 class If(Expr):
@@ -261,14 +261,14 @@ class If(Expr):
         object.__setattr__(self, "orelse", orelse)
         object.__setattr__(self, "pos", pos)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("immutable")
-
     def _key(self):
         return ("if", self.cond, self.then, self.orelse)
 
     def children(self):
         return (self.cond, self.then, self.orelse)
+
+    def _make(self, cond, then, orelse):
+        return If(cond, then, orelse, self.pos)
 
 
 class Set(Expr):
@@ -279,14 +279,14 @@ class Set(Expr):
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "pos", pos)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("immutable")
-
     def _key(self):
         return ("set", self.x, self.expr)
 
     def children(self):
         return (self.expr,)
+
+    def _make(self, expr):
+        return Set(self.x, expr, self.pos)
 
 
 class DepCon(Expr):
@@ -300,14 +300,14 @@ class DepCon(Expr):
         object.__setattr__(self, "rng", rng)
         object.__setattr__(self, "pos", pos)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("immutable")
-
     def _key(self):
         return ("depcon", self.dom, self.x, self.rng)
 
     def children(self):
         return (self.dom, self.rng)
+
+    def _make(self, dom, rng):
+        return DepCon(dom, self.x, rng, self.pos)
 
 
 class Mon(Expr):
@@ -330,14 +330,14 @@ class Mon(Expr):
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "pos", pos)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("immutable")
-
     def _key(self):
         return ("mon", self.pos_label, self.neg_label, self.contract, self.expr)
 
     def children(self):
         return (self.contract, self.expr)
+
+    def _make(self, contract, expr):
+        return Mon(self.pos_label, self.neg_label, contract, expr, self.pos)
 
 
 # --------------------------------------------------------------------------
@@ -681,6 +681,9 @@ def desugar(program: SurfaceProgram) -> Expr:
 
     def_names = [d.name for d in program.definitions]
 
+    # Spelled out per kind, not through `rebuild`: fuzzing desugars and
+    # renames every instantiation, and routing this walk and alpha_rename's
+    # through `rebuild` made that step about 1.6x slower (CPython 3.11).
     def guard_prims(e: Expr, scope: frozenset[str]) -> Expr:
         if isinstance(e, Ref):
             if e.x in scope:
@@ -806,6 +809,7 @@ def alpha_rename(e: Expr) -> Expr:
                 used.add(candidate)
                 return candidate
 
+    # Spelled out per kind for speed, as desugar's `guard_prims` is.
     def walk(e: Expr, env: dict[str, str]) -> Expr:
         if isinstance(e, (Num, Prim, Opq)):
             return e
@@ -832,23 +836,18 @@ def alpha_rename(e: Expr) -> Expr:
 
 @_per_node("_fv")
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, (Num, Prim, Opq)):
-        return frozenset()
     if isinstance(e, Ref):
         return frozenset((e.x,))
-    if isinstance(e, Lam):
-        return free_vars(e.body) - {e.x}
-    if isinstance(e, App):
-        return free_vars(e.fn) | free_vars(e.arg)
-    if isinstance(e, If):
-        return free_vars(e.cond) | free_vars(e.then) | free_vars(e.orelse)
     if isinstance(e, Set):
         return free_vars(e.expr) | {e.x}
+    if isinstance(e, Lam):
+        return free_vars(e.body) - {e.x}
     if isinstance(e, DepCon):
         return free_vars(e.dom) | (free_vars(e.rng) - {e.x})
-    if isinstance(e, Mon):
-        return free_vars(e.contract) | free_vars(e.expr)
-    raise AssertionError(f"unexpected node {type(e).__name__}")
+    fv = frozenset()
+    for kid in e.children():
+        fv |= free_vars(kid)
+    return fv
 
 
 @_per_node("_text")

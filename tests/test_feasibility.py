@@ -188,8 +188,35 @@ def test_builtin_failed_check_answers_unknown_and_pops(monkeypatch, failure):
         assert client.check(broken) == UNKNOWN
         assert client.check(Formula(("v!x",), ("(= v!x (IntV 0))",))) == SAT
         assert client.check(Formula(("v!y",), ("(= v!y (IntV 0))", "(not (= v!y (IntV 0)))"))) == UNSAT
+        assert client.failures == 1
     finally:
         client.close()
+
+
+def test_failing_builtin_solver_is_reported(monkeypatch, capsys):
+    """When every check raises inside the bundled solver, the run stays
+    sound and the report says that the solver failed."""
+    import json
+
+    from conftest import NO_SOLVER_DEGRADATIONS, corpus_path
+    from scv.cli import main
+    from scv.minismt import MiniSolver
+
+    def fails(self):
+        raise RuntimeError("injected solver fault")
+
+    monkeypatch.setattr(MiniSolver, "check_sat", fails)
+    assert main(["verify", corpus_path("factorial.lms")]) == 0
+    assert "warning: the solver failed on" in capsys.readouterr().out
+    assert main(["verify", corpus_path("factorial.lms"), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] and doc["solver_failures"] > 0
+    # without verdicts the alias program degrades as under --no-solver
+    assert main(["verify", corpus_path("alias-then-clobber.lms"), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    blames = {(b["positive"], b["negative"]) for b in doc["blames"]}
+    assert blames == NO_SOLVER_DEGRADATIONS["alias-then-clobber.lms"]
+    assert doc["solver_failures"] > 0
 
 
 def test_feasibility_monotone_on_random_chains(solver):
@@ -423,6 +450,7 @@ def test_external_solver_answering_unknown(tmp_path):
     core = compile_text(corpus_text("alias-then-clobber.lms"), escapes=True)
     degraded = run_fixpoint(core, fresh_config(solver_path=str(fake)))
     assert not degraded.verified  # same as --no-solver
+    assert degraded.solver_failures == 0  # an unknown answer is not a failure
 
 
 def test_crashing_solver_degrades_not_aborts(tmp_path):
@@ -438,3 +466,4 @@ def test_crashing_solver_degrades_not_aborts(tmp_path):
     res = run_fixpoint(core, fresh_config(solver_path=str(crash)))
     assert not res.inconclusive
     assert res.verified  # factorial needs no solver; the run survives the crash
+    assert res.solver_failures > 0

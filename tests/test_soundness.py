@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from conftest import compile_text, corpus_text, fresh_config
 from scv.abstraction import run_concrete, run_fixpoint
 from scv.soundness import (
@@ -11,9 +13,17 @@ from scv.soundness import (
     is_oexpr,
 )
 from scv.syntax import (
+    App,
+    DepCon,
+    If,
+    Label,
+    Lam,
+    Mon,
     Num,
     OPAQUE_LABEL,
     Opq,
+    Ref,
+    Set,
     alpha_rename,
     desugar,
     node_kinds,
@@ -31,6 +41,35 @@ def test_approx_expr_hole_rules():
     assert approx_expr(Num(3), Opq())
 
 
+_F, _ONE = Ref("f"), Num(1)
+_P, _Q = Label("p"), Label("q")
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        pytest.param(_ONE, Ref("x"), False, id="other-kind"),
+        pytest.param(_ONE, Num(1), True, id="same-kind"),
+        pytest.param(Lam("x", _ONE), Lam("y", _ONE), False, id="other-lam-binder"),
+        pytest.param(Lam("x", _ONE), Lam("x", _ONE), True, id="same-lam-binder"),
+        pytest.param(DepCon(_F, "x", _F), DepCon(_F, "y", _F), False, id="other-depcon-binder"),
+        pytest.param(DepCon(_F, "x", _F), DepCon(_F, "x", _F), True, id="same-depcon-binder"),
+        pytest.param(Set("f", _ONE), Set("g", _ONE), False, id="other-set-target"),
+        pytest.param(Set("f", _ONE), Set("f", _ONE), True, id="same-set-target"),
+        pytest.param(App(_F, _ONE, OPAQUE_LABEL), App(_F, _ONE, OPAQUE_LABEL), False, id="opaque-app"),
+        pytest.param(App(_F, _ONE, _P), App(_F, _ONE, _P), True, id="transparent-app"),
+        pytest.param(Mon(_P, OPAQUE_LABEL, _F, _ONE), Mon(_P, OPAQUE_LABEL, _F, _ONE), False, id="opaque-mon-party"),
+        pytest.param(Mon(_P, _Q, _F, _ONE), Mon(_P, _Q, _F, _ONE), True, id="transparent-mon-parties"),
+        pytest.param(Mon(_P, _Q, _F, _ONE), Mon(_Q, _P, _F, _ONE), False, id="other-mon-parties"),
+        pytest.param(Mon(_P, _Q, _F, _ONE), Mon(_P, _Q, _F, Opq()), True, id="hole-in-mon-body"),
+        pytest.param(If(_ONE, _ONE, _F), If(_ONE, _ONE, Ref("g")), False, id="other-child"),
+        pytest.param(If(_ONE, _ONE, _ONE), If(_ONE, _ONE, Opq()), True, id="hole-child"),
+    ],
+)
+def test_approx_expr_congruence_rules(a, b, expected):
+    assert approx_expr(a, b) is expected
+
+
 def test_approx_expr_structural_with_labels():
     a = parse("(define f (λ (x) (f x))) (f 1)")
     b = parse("(define f (λ (x) (f x))) (f 1)")
@@ -41,8 +80,6 @@ def test_approx_expr_structural_with_labels():
 
 
 def test_is_oexpr_accepts_grammar_and_rejects_monitors():
-    from scv.syntax import App, Lam, Ref
-
     self_app = Lam("x", App(Ref("x"), Ref("x"), OPAQUE_LABEL))
     assert is_oexpr(self_app, frozenset())
     assert not is_oexpr(parse_expr("(mon p q int? 5)"), frozenset())

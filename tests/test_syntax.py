@@ -13,6 +13,7 @@ from scv.syntax import (
     OPAQUE_LABEL,
     Opq,
     ParseError,
+    Position,
     Prim,
     Ref,
     Set,
@@ -205,17 +206,18 @@ def test_free_vars_basic_cases():
 
 
 _LEAVES = (Num(1), Ref("y"), Opq())
+_POS = Position(3, 7)
 NODE_SAMPLES = [
-    Num(1),
-    Prim("add1"),
-    Opq(),
-    Ref("x"),
-    Lam("x", _LEAVES[0]),
-    App(*_LEAVES[:2], OPAQUE_LABEL),
-    If(*_LEAVES),
-    Set("x", _LEAVES[0]),
-    DepCon(_LEAVES[0], "x", _LEAVES[1]),
-    Mon(OPAQUE_LABEL, LANGUAGE_LABEL, *_LEAVES[:2]),
+    Num(1, _POS),
+    Prim("add1", _POS),
+    Opq(_POS),
+    Ref("x", _POS),
+    Lam("x", _LEAVES[0], _POS),
+    App(*_LEAVES[:2], OPAQUE_LABEL, _POS),
+    If(*_LEAVES, _POS),
+    Set("x", _LEAVES[0], _POS),
+    DepCon(_LEAVES[0], "x", _LEAVES[1], _POS),
+    Mon(OPAQUE_LABEL, LANGUAGE_LABEL, *_LEAVES[:2], _POS),
 ]
 
 
@@ -230,6 +232,17 @@ def test_children_are_exactly_the_expr_fields(node):
     children = node.children()
     assert len(children) == len(expected)
     assert all(c is f for c, f in zip(children, expected))
+    assert node.rebuild(children) is node
+    # fresh kids land in the fields children() read; names, labels and pos stay
+    fresh = [Num(100 + i) for i in range(len(children))]
+    rebuilt = node.rebuild(fresh)
+    assert type(rebuilt) is type(node)
+    kids = iter(fresh)
+    for name in type(node).__slots__:
+        old = getattr(node, name)
+        assert getattr(rebuilt, name) is (next(kids) if isinstance(old, Expr) else old), name
+    with pytest.raises(AttributeError):
+        node.pos = Position(1, 1)
 
 
 def test_assigned_vars_sees_set_under_lambda():
