@@ -54,7 +54,7 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-def alloc(tag, history: frozenset, mode: str, ctx: Optional[RunCtx] = None) -> Addr:
+def alloc(tag, history: frozenset, ctx: RunCtx) -> Addr:
     """Address for a binding or wrapper allocation; concrete mode is fresh.
 
     Abstract variable bindings pair the variable with the transfer set, so
@@ -63,17 +63,15 @@ def alloc(tag, history: frozenset, mode: str, ctx: Optional[RunCtx] = None) -> A
     carry no loop structure, and history-indexing them would mint a fresh
     wrapper identity per context interleaving.
     """
-    if mode == ABSTRACT:
+    if ctx.config.mode == ABSTRACT:
         return ("var", tag, history) if isinstance(tag, str) else ("node", tag)
-    assert ctx is not None, "concrete allocation needs the run context"
     return ctx.fresh_addr(tag if isinstance(tag, str) else "node")
 
 
-def kont_alloc(body: Expr, env: Env, mode: str, ctx: Optional[RunCtx] = None) -> KontAddr:
+def kont_alloc(body: Expr, env: Env, ctx: RunCtx) -> KontAddr:
     """Continuation address for entering a closure body."""
-    if mode == ABSTRACT:
+    if ctx.config.mode == ABSTRACT:
         return ("kont", body, env)
-    assert ctx is not None
     return ("kont", ctx.fresh_addr("k"))
 
 
@@ -198,7 +196,7 @@ def _make_ctx(expr: Expr, config: Config, solver) -> RunCtx:
     )
 
 
-def run_fixpoint(expr: Expr, config: Config, solver=None, ctx: Optional[RunCtx] = None) -> AnalysisResult:
+def run_fixpoint(expr: Expr, config: Config, solver=None) -> AnalysisResult:
     """Explore every reachable state under global-store widening, collecting
     blames whose positive party is transparent.  Exceeding the step budget
     marks the result inconclusive (never verified)."""
@@ -206,14 +204,15 @@ def run_fixpoint(expr: Expr, config: Config, solver=None, ctx: Optional[RunCtx] 
     from .semantics import step
 
     own_solver = False
-    if solver is None and ctx is None:
+    if solver is None:
         solver = open_solver(config.resolved_solver())
         own_solver = solver is not None
-    if ctx is None:
-        ctx = _make_ctx(expr, config, solver)
-    failures_before = ctx.solver.failures if ctx.solver is not None else 0
+    ctx = _make_ctx(expr, config, solver)
+    failures_before = solver.failures if solver is not None else 0
 
-    state0, stores = load(expr)
+    # `widen` is looked up per run, so a wrapper put on `abstraction.widen`
+    # (perfbench's tracer) sees every widening join
+    state0, stores = load(expr, widen if config.mode == ABSTRACT else None)
     trace = open(config.trace_path, "w") if config.trace_path else None
     todo: list[MachineState] = [state0]
     queued: set[MachineState] = {state0}
@@ -288,7 +287,7 @@ def run_fixpoint(expr: Expr, config: Config, solver=None, ctx: Optional[RunCtx] 
         verified=(not ordered) and (not inconclusive),
         inconclusive=inconclusive,
         final_values=tuple(sorted(finals)),
-        solver_failures=ctx.solver.failures - failures_before if ctx.solver is not None else 0,
+        solver_failures=solver.failures - failures_before if solver is not None else 0,
     )
 
 

@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from .abstraction import AnalysisResult, run_concrete, run_fixpoint
-from .config import ABSTRACT, CONCRETE, Config
+from .config import ABSTRACT, CONCRETE, Config, SolverNotFound
 from .soundness import differential_check, generate_hole_program
 from .syntax import (
     DesugarError,
@@ -228,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except SolverNotFound as ex:
+        # raised when the first analysis opens its solver, before any step
+        print(f"error: solver not found: {ex}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

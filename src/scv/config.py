@@ -13,6 +13,10 @@ ABSTRACT = "abstract"
 SOLVER_ENV_VAR = "SCV_SOLVER"
 
 
+class SolverNotFound(LookupError):
+    """A solver name that is neither `builtin`, a path, nor on `PATH`."""
+
+
 @dataclass
 class Config:
     mode: str = ABSTRACT

@@ -23,6 +23,7 @@ import subprocess
 from dataclasses import dataclass
 from typing import Optional
 
+from .config import SolverNotFound
 from .machine import PostValue, VOpq, VPrim
 from .minismt import MiniSolver, parse_sexprs, tokenize
 from .primitives import ONE, PRIM_TABLE, delta
@@ -338,11 +339,12 @@ class SolverClient:
 
 
 def open_solver(name_or_path: Optional[str]) -> Optional[SolverClient]:
-    """Resolve a solver name to a running client; None means no solver."""
+    """Resolve a solver name to a running client; None means no solver.
+    Raises `SolverNotFound` for a name that names no solver."""
     if name_or_path is None:
         return None
     if name_or_path != "builtin" and shutil.which(name_or_path) is None and "/" not in name_or_path:
-        return None
+        raise SolverNotFound(name_or_path)
     return SolverClient(name_or_path)
 
 

@@ -180,9 +180,9 @@ def should_rerun(
     return memo.check_and_mark(v, fingerprint(v, stores, state, toplevel))
 
 
-def leak(stores: GlobalStores, v: Value, widen_fn=None) -> Value:
+def leak(stores: GlobalStores, v: Value) -> Value:
     """Record that a value escaped to unknown code."""
-    return stores.join_value(LEAK_ADDR, v, widen_fn)
+    return stores.join_value(LEAK_ADDR, v)
 
 
 def context_mutable_vars(stores: GlobalStores) -> frozenset:
@@ -219,11 +219,7 @@ def opaque_application(
     runs share their exploration across every escape point, and arbitrary
     repetition is covered because they re-enter this rule.
     """
-    from .abstraction import widen as _widen
-    from .config import ABSTRACT
-
-    widen_fn = _widen if ctx.config.mode == ABSTRACT else None
-    leak(stores, argw.value, widen_fn)
+    leak(stores, argw.value)
 
     cache = state.cache
     for x in context_mutable_vars(stores):

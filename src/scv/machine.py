@@ -6,6 +6,11 @@ variable values, a path condition, the current continuation (a frame list
 cut at a continuation-store address), and the set of call transfers taken
 so far.  Value and continuation stores are global, owned by the driver, and
 only ever grow; states reference them by address.
+
+The store also owns the run's join policy: a store built with a widening
+function joins through it (abstract runs), one built without keeps plain
+sets and lets `set!` replace a value outright (concrete runs, where fresh
+allocation gives every address exactly one value).
 """
 
 from __future__ import annotations
@@ -31,10 +36,6 @@ __all__ = [
     "LEAK_ADDR",
     "KontAddr",
     "HALT",
-    "Pending",
-    "PEval",
-    "PVal",
-    "PBlame",
     "Frame",
     "FAppArg",
     "FAppFn",
@@ -236,30 +237,6 @@ DETACHED: KontAddr = ("detached",)
 # --------------------------------------------------------------------------
 
 
-class Pending:
-    """A not-yet-running branch of a composite closure: an expression to
-    evaluate, a finished post-value, or a blame verdict."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class PEval(Pending):
-    expr: Expr
-    env: Env
-
-
-@dataclass(frozen=True)
-class PVal(Pending):
-    w: PostValue
-
-
-@dataclass(frozen=True)
-class PBlame(Pending):
-    pos_label: Label
-    neg_label: Label
-
-
 class Frame:
     __slots__ = ()
 
@@ -268,7 +245,7 @@ class Frame:
 class FAppArg(Frame):
     """Function position under evaluation; argument pending."""
 
-    pending: Pending
+    pending: Control
     label: Label
 
 
@@ -282,8 +259,10 @@ class FAppFn(Frame):
 
 @dataclass(frozen=True)
 class FIf(Frame):
-    then: Pending
-    orelse: Pending
+    """Condition under evaluation; the feasible branches resume."""
+
+    then: Control
+    orelse: Control
 
 
 @dataclass(frozen=True)
@@ -309,7 +288,7 @@ class FMonC(Frame):
 
     pos_label: Label
     neg_label: Label
-    pending: Pending
+    pending: Control
     node: Expr
 
 
@@ -446,9 +425,11 @@ class GlobalStores:
     Both only grow.  While a state steps, `reads` collects the addresses it
     looks up and `changed` the addresses that grow; the fixpoint driver maps
     each changed address to the states that read it and revisits them.
+    `widen` is the run's join policy for values (see `join_values`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, widen=None) -> None:
+        self.widen = widen
         self.values: dict[Addr, frozenset] = {}
         self.konts: dict[KontAddr, frozenset] = {}
         # read log and change log for the driver's dependency tracking
@@ -470,24 +451,25 @@ class GlobalStores:
         self._note_read(("k", kaddr))
         return self.konts.get(kaddr, frozenset())
 
-    def join_value(self, addr: Addr, value: Value, widen_fn=None) -> Value:
+    def join_value(self, addr: Addr, value: Value) -> Value:
         """Join one value into an address, returning the representative the
         caller should continue with (the widened stand-in when the join
         collapsed it into an abstract value)."""
         old = self.values.get(addr, frozenset())
-        new, rep = join_values(old, value, widen_fn)
+        new, rep = join_values(old, value, self.widen)
         if new != old:
             self.values[addr] = new
             self._note_change(addr)
         return rep
 
-    def set_value_strong(self, addr: Addr, value: Value) -> Value:
-        """Replace the content of an address outright.  Only sound when the
-        address holds exactly one concrete instance, i.e. under fresh
-        allocation; abstract mode must join instead."""
-        old = self.values.get(addr)
+    def assign(self, addr: Addr, value: Value) -> Value:
+        """The store effect of `set!`.  A widening store joins; otherwise
+        the value replaces the old one, which is sound because fresh
+        allocation gives such an address exactly one value."""
+        if self.widen is not None:
+            return self.join_value(addr, value)
         new = frozenset({value})
-        if new != old:
+        if new != self.values.get(addr):
             self.values[addr] = new
             self._note_change(addr)
         return value
@@ -513,11 +495,11 @@ def join_values(vs: frozenset, v: Value, widen_fn=None) -> tuple[frozenset, Valu
     return widen_fn(vs, v)
 
 
-def load(e: Expr) -> tuple[MachineState, GlobalStores]:
+def load(e: Expr, widen=None) -> tuple[MachineState, GlobalStores]:
     """Initial state of a closed, renamed program: empty environment, cache,
-    and path condition, halt continuation, and a store holding only the
-    fully unknown value at the leak address."""
-    stores = GlobalStores()
+    and path condition, halt continuation, and a store joining through
+    `widen` that holds only the fully unknown value at the leak address."""
+    stores = GlobalStores(widen)
     stores.values[LEAK_ADDR] = frozenset({VOpq()})
     state = MachineState(
         control=CEval(e, Env()),

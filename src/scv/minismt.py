@@ -1,12 +1,11 @@
 """A small SMT-LIB v2 solver for one datatype plus linear integer arithmetic.
 
-This is the fallback back end used when no external solver (z3, cvc4, ...)
-is available.  `feasibility.SolverClient` runs it in the analysing process
-on the SMT-LIB commands it would send an external solver; it understands
-enough SMT-LIB to serve the path-condition queries this package emits.
-The fragment: one declared algebraic datatype whose constructors each
-carry a single Int field, constants of that sort and Int, and assertions
-built from ite / and / or / not / = / distinct / comparisons / + - * /
+This is the default back end, `builtin`: `feasibility.SolverClient` runs it
+in the analysing process on the SMT-LIB commands it would send an external
+solver (z3, cvc4, ...).  It reads the SMT-LIB that `feasibility.translate_pc`
+emits, and no more: one declared algebraic datatype whose constructors
+each carry a single Int field, constants of that sort and Int, and
+assertions built from ite / and / or / not / = / < / <= / > / + - * /
 (mod _ 2) over them.
 
 Decision method: a depth-first search picks one datatype constant's
@@ -55,10 +54,6 @@ def tokenize(text: str) -> list[str]:
         elif ch in "()":
             out.append(ch)
             i += 1
-        elif ch == "|":
-            j = text.index("|", i + 1)
-            out.append(text[i : j + 1])
-            i = j + 1
         else:
             j = i
             while j < n and not text[j].isspace() and text[j] not in "();":
@@ -297,7 +292,7 @@ class MiniSolver:
         if conj == FALSE:
             return "unsat"
         if k == len(order):
-            return self._sat_formula(conj)
+            return self._explore_seq([conj], [])
         saw_unknown = False
         for ctor in self.ctor_list:
             verdict = self._search(order, stages, {**assign, order[k]: ctor}, conj)
@@ -420,8 +415,6 @@ class MiniSolver:
             return f_and([self._formula(a, assign) for a in ast[1:]])
         if head == "or":
             return f_or([self._formula(a, assign) for a in ast[1:]])
-        if head == "=>":
-            return f_or([f_not(self._formula(ast[1], assign)), self._formula(ast[2], assign)])
         if isinstance(head, list) and len(head) == 3 and head[0] == "_" and head[1] == "is":
             ctor = head[2]
             alts = self._vterm(ast[1], assign)
@@ -432,10 +425,9 @@ class MiniSolver:
                 f_and([c, self._formula(ast[2], assign)]),
                 f_and([f_not(c), self._formula(ast[3], assign)]),
             ])
-        if head in ("=", "distinct"):
-            base = self._equality(ast[1], ast[2], assign)
-            return f_not(base) if head == "distinct" else base
-        if head in ("<", "<=", ">", ">="):
+        if head == "=":
+            return self._equality(ast[1], ast[2], assign)
+        if head in ("<", "<=", ">"):
             return self._compare(head, ast[1], ast[2], assign)
         raise Unsupported(ast)
 
@@ -480,8 +472,6 @@ class MiniSolver:
     def _compare(self, op: str, a, b, assign):
         if op == ">":
             return self._compare("<", b, a, assign)
-        if op == ">=":
-            return self._compare("<=", b, a, assign)
         out = []
         for g1, l1 in self._iterm(a, assign):
             for g2, l2 in self._iterm(b, assign):
@@ -495,42 +485,6 @@ class MiniSolver:
         return f_or(out)
 
     # -- satisfiability of lifted formulas -----------------------------------
-
-    def _sat_formula(self, formula) -> str:
-        saw_unknown = False
-        stack = [(formula, [])]
-        # DNF exploration: (remaining formula, collected atoms)
-        while stack:
-            f, atoms = stack.pop()
-            res = self._explore(f, atoms)
-            if res == "sat":
-                return "sat"
-            if res == "unknown":
-                saw_unknown = True
-        return "unknown" if saw_unknown else "unsat"
-
-    def _explore(self, f, atoms) -> str:
-        if f == FALSE:
-            return "unsat"
-        if f == TRUE or f is None:
-            return self._lin_feasible(atoms)
-        tag = f[0]
-        if tag in ("le", "eq", "cong"):
-            return self._lin_feasible(atoms + [f])
-        if tag == "and":
-            return self._explore_seq(list(f[1]), atoms)
-        if tag == "or":
-            saw_unknown = False
-            for sub in f[1]:
-                r = self._explore(sub, atoms)
-                if r == "sat":
-                    return "sat"
-                if r == "unknown":
-                    saw_unknown = True
-            return "unknown" if saw_unknown else "unsat"
-        if tag == "not":
-            return self._explore(self._negate(f[1]), atoms)
-        return "unknown"
 
     def _explore_seq(self, fs, atoms, checked: int = 0) -> str:
         """Depth-first search of the conjunction `fs` under `atoms`, whose

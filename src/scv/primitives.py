@@ -27,13 +27,12 @@ __all__ = [
     "BASE_VOCAB",
     "delta",
     "standard_env",
+    "surface_spec",
     "satisfies",
     "refinement_implies",
     "refinement_excludes",
     "concrete_refinements",
     "pred_on_refinements",
-    "is_proc_value",
-    "is_flat_contract_value",
     "trunc_div",
     "ZERO",
     "ONE",
@@ -49,15 +48,6 @@ def trunc_div(a: int, b: int) -> int:
         return 0
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
-
-
-def is_proc_value(v: Value) -> bool:
-    return isinstance(v, (VPrim, VClo, VArr))
-
-
-def is_flat_contract_value(v: Value) -> bool:
-    """Usable directly as a predicate: primitive functions and lambdas."""
-    return isinstance(v, (VPrim, VClo))
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +126,7 @@ def _pred_int(v: Value) -> bool:
 
 
 def _pred_proc(v: Value) -> bool:
-    return is_proc_value(v)
+    return isinstance(v, (VPrim, VClo, VArr))
 
 
 def _pred_zero(v: Value) -> bool:
@@ -156,12 +146,18 @@ def _pred_positive(v: Value) -> bool:
 
 
 def _pred_flat_contract(v: Value) -> bool:
-    return is_flat_contract_value(v)
+    """Usable directly as a predicate: primitive functions and lambdas."""
+    return isinstance(v, (VPrim, VClo))
 
 
 def _pred_dep_contract(v: Value) -> bool:
     return isinstance(v, VGrd)
 
+
+# Internal predicates, each the negation of a base one, that only the
+# reduction rules test (branching, applying a non-procedure); source text
+# cannot name them.
+_NEGATIONS = {"nonzero?": "zero?", "nonproc?": "proc?"}
 
 _PRED_FNS: dict[str, Callable[[Value], bool]] = {
     "int?": _pred_int,
@@ -172,9 +168,8 @@ _PRED_FNS: dict[str, Callable[[Value], bool]] = {
     "positive?": _pred_positive,
     "flat-contract?": _pred_flat_contract,
     "dep-contract?": _pred_dep_contract,
-    "nonzero?": lambda v: not _pred_zero(v),
-    "nonproc?": lambda v: not _pred_proc(v),
 }
+_PRED_FNS.update({neg: (lambda v, fn=_PRED_FNS[base]: not fn(v)) for neg, base in _NEGATIONS.items()})
 
 
 def concrete_refinements(v: Value) -> frozenset:
@@ -389,12 +384,17 @@ PRIM_TABLE = _make_table()
 # Names accepted in surface text for the same operation.
 SURFACE_ALIASES = {"≤": "<=", "−": "-"}
 
-# Internal predicates used by reduction rules only; never parsed.
-_INTERNAL_ONLY = {"nonzero?", "nonproc?"}
-
 
 def surface_prims() -> frozenset:
-    return frozenset(name for name in PRIM_TABLE if name not in _INTERNAL_ONLY)
+    return frozenset(name for name in PRIM_TABLE if name not in _NEGATIONS)
+
+
+def surface_spec(name: str) -> Optional[PrimSpec]:
+    """The primitive a free name in source text denotes, through its
+    aliases; None for a name that denotes none, internal predicates
+    included."""
+    name = SURFACE_ALIASES.get(name, name)
+    return None if name in _NEGATIONS else PRIM_TABLE.get(name)
 
 
 def standard_env() -> dict[str, Optional[Expr]]:
@@ -421,11 +421,8 @@ def delta(op_value: VPrim, arg: Value) -> frozenset:
             if spec.kind == "predicate":
                 if spec.name in BASE_VOCAB:
                     return pred_on_refinements(spec.name, _base_refs(arg))
-                if spec.name == "nonzero?":
-                    res = pred_on_refinements("zero?", _base_refs(arg))
-                    return frozenset({ONE if v == ZERO else ZERO for v in res})
-                if spec.name == "nonproc?":
-                    res = pred_on_refinements("proc?", _base_refs(arg))
+                if spec.name in _NEGATIONS:
+                    res = pred_on_refinements(_NEGATIONS[spec.name], _base_refs(arg))
                     return frozenset({ONE if v == ZERO else ZERO for v in res})
                 # flat-contract? / dep-contract? on unknowns: undetermined
                 return frozenset({ZERO, ONE})

@@ -9,8 +9,8 @@ guarded application decomposes into a reversed-party domain check, the
 range-maker application, the wrapped call, and a range check, in that
 order.  Applying an unknown value defers to the havoc module.
 
-Store joins go through the driver-owned global stores, which track growth;
-aside from that, successors are pure data.
+Store joins go through the driver-owned global stores, which track growth
+and own the run's join policy; aside from that, successors are pure data.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from __future__ import annotations
 from typing import Optional
 
 from . import havoc
-from .abstraction import alloc, kont_alloc, widen
-from .config import ABSTRACT, RunCtx
+from .abstraction import alloc, kont_alloc
+from .config import RunCtx
 from .feasibility import feasible
 from .machine import (
-    Addr,
     Cache,
     CBlame,
     CEval,
@@ -43,11 +42,7 @@ from .machine import (
     GlobalStores,
     HALT,
     MachineState,
-    PBlame,
-    Pending,
-    PEval,
     PostValue,
-    PVal,
     VArr,
     VClo,
     VGrd,
@@ -167,34 +162,16 @@ def distr(e: Expr, env: Env) -> tuple[Control, tuple[Frame, ...]]:
     remember the rest: functions before arguments, contracts before
     monitored expressions."""
     if isinstance(e, App):
-        return CEval(e.fn, env), (FAppArg(PEval(e.arg, env), e.label),)
+        return CEval(e.fn, env), (FAppArg(CEval(e.arg, env), e.label),)
     if isinstance(e, If):
-        return CEval(e.cond, env), (FIf(PEval(e.then, env), PEval(e.orelse, env)),)
+        return CEval(e.cond, env), (FIf(CEval(e.then, env), CEval(e.orelse, env)),)
     if isinstance(e, Set):
         return CEval(e.expr, env), (FSet(e.x, env),)
     if isinstance(e, DepCon):
         return CEval(e.dom, env), (FGrd(e.x, e.rng, env, e),)
     if isinstance(e, Mon):
-        return CEval(e.contract, env), (FMonC(e.pos_label, e.neg_label, PEval(e.expr, env), e),)
+        return CEval(e.contract, env), (FMonC(e.pos_label, e.neg_label, CEval(e.expr, env), e),)
     raise InternalError(f"not a compound form: {e!r}")
-
-
-def _from_pending(p: Pending) -> Control:
-    if isinstance(p, PEval):
-        return CEval(p.expr, p.env)
-    if isinstance(p, PVal):
-        return CVal(p.w)
-    if isinstance(p, PBlame):
-        return CBlame(p.pos_label, p.neg_label)
-    raise InternalError("bad pending closure")
-
-
-def _alloc(ctx: RunCtx, tag, history: frozenset) -> Addr:
-    return alloc(tag, history, ctx.config.mode, ctx)
-
-
-def _widen_fn(ctx: RunCtx):
-    return widen if ctx.config.mode == ABSTRACT else None
 
 
 # --------------------------------------------------------------------------
@@ -258,7 +235,7 @@ def _step_frame(state: MachineState, w: PostValue, stores: GlobalStores, ctx: Ru
 
     if isinstance(frame, FAppArg):
         return [
-            _update(base, control=_from_pending(frame.pending), frames=(FAppFn(w, frame.label),) + rest)
+            _update(base, control=frame.pending, frames=(FAppFn(w, frame.label),) + rest)
         ]
 
     if isinstance(frame, FAppFn):
@@ -269,40 +246,36 @@ def _step_frame(state: MachineState, w: PostValue, stores: GlobalStores, ctx: Ru
         depth = ctx.config.max_sym_depth
         pc_then = feasible(state.pc, "nonzero?", w, ctx.solver, depth)
         if pc_then is not None:
-            out.append(_update(base, control=_from_pending(frame.then), pc=pc_then))
+            out.append(_update(base, control=frame.then, pc=pc_then))
         pc_else = feasible(state.pc, "zero?", w, ctx.solver, depth)
         if pc_else is not None:
-            out.append(_update(base, control=_from_pending(frame.orelse), pc=pc_else))
+            out.append(_update(base, control=frame.orelse, pc=pc_else))
         return out
 
     if isinstance(frame, FSet):
         addr = frame.env.get(frame.x)
         if addr is None:
             raise InternalError(f"set! of unbound {frame.x}")
-        if ctx.config.mode == ABSTRACT:
-            rep = stores.join_value(addr, w.value, _widen_fn(ctx))
-        else:
-            rep = stores.set_value_strong(addr, w.value)
+        rep = stores.assign(addr, w.value)
         cache = state.cache.set(frame.x, PostValue(rep, _truncate(w.sym, ctx)))
         result = PostValue(VNum(1), None)
         return [_update(base, control=CVal(result), cache=cache)]
 
     if isinstance(frame, FGrd):
-        a_dom = _alloc(ctx, (frame.node, "dom"), state.history)
-        a_rng = _alloc(ctx, (frame.node, "rng"), state.history)
-        widen_fn = _widen_fn(ctx)
-        stores.join_value(a_dom, w.value, widen_fn)
+        a_dom = alloc((frame.node, "dom"), state.history, ctx)
+        a_rng = alloc((frame.node, "rng"), state.history, ctx)
+        stores.join_value(a_dom, w.value)
         fv = free_vars(frame.rng_body) - {frame.x}
         restricted = Env({x: frame.env[x] for x in fv if x in frame.env})
         maker = VClo(frame.x, frame.rng_body, restricted, state.pc)
-        stores.join_value(a_rng, maker, widen_fn)
+        stores.join_value(a_rng, maker)
         return [_update(base, control=CVal(PostValue(VGrd(a_dom, a_rng), None)))]
 
     if isinstance(frame, FMonC):
         return [
             _update(
                 base,
-                control=_from_pending(frame.pending),
+                control=frame.pending,
                 frames=(FMonV(frame.pos_label, frame.neg_label, w, frame.node),) + rest,
             )
         ]
@@ -390,8 +363,8 @@ def _apply_closure(
         history = state.history
     else:
         history = state.history | {(label, clo.body)}
-    addr = _alloc(ctx, clo.x, history)
-    rep = stores.join_value(addr, argw.value, _widen_fn(ctx))
+    addr = alloc(clo.x, history, ctx)
+    rep = stores.join_value(addr, argw.value)
     env2 = clo.env.set(clo.x, addr)
 
     shared = isinstance(fnw.sym, Lam)
@@ -413,7 +386,7 @@ def _apply_closure(
     pc = (clo.pc | state.pc) if shared else clo.pc
     s_call = ap_sym(effective_sym(fnw, ctx.config.max_sym_depth), effective_sym(argw, ctx.config.max_sym_depth), ctx.config.max_sym_depth)
     rt = FRt(clo.x, ys, s_call, state.cache, shared)
-    kaddr = kont_alloc(clo.body, env2, ctx.config.mode, ctx)
+    kaddr = kont_alloc(clo.body, env2, ctx)
     stores.join_kont(kaddr, ((rt,) + state.frames, state.kaddr))
     return _update(
         state,
@@ -529,7 +502,7 @@ def _monitor(
             if isinstance(c, VClo) and satisfies(w.value, Lam(c.x, c.body)):
                 return [_update(base, control=CVal(w))]
         passed = PostValue(_refine_opaque(w.value, c), w.sym)
-        frames = (FIf(PVal(passed), PBlame(pos, neg)),) + base.frames
+        frames = (FIf(CVal(passed), CBlame(pos, neg)),) + base.frames
         return _apply(_update(base, frames=frames), frame.contract, w, pos, stores, ctx)
 
     def fun_wrap(base: MachineState, contract_value: Value) -> list[MachineState]:
@@ -537,14 +510,13 @@ def _monitor(
         res = []
         pc_proc = feasible(base.pc, "proc?", w, ctx.solver, depth)
         if pc_proc is not None:
-            a_con = _alloc(ctx, (frame.node, pos, neg, "c"), base.history)
-            a_fn = _alloc(ctx, (frame.node, pos, neg, "f"), base.history)
-            widen = _widen_fn(ctx)
-            stores.join_value(a_con, contract_value, widen)
+            a_con = alloc((frame.node, pos, neg, "c"), base.history, ctx)
+            a_fn = alloc((frame.node, pos, neg, "f"), base.history, ctx)
+            stores.join_value(a_con, contract_value)
             wrapped = w.value
             if isinstance(wrapped, VOpq):
                 wrapped = VOpq(wrapped.refinements | {"proc?"})
-            stores.join_value(a_fn, wrapped, widen)
+            stores.join_value(a_fn, wrapped)
             arr = VArr(pos, neg, a_con, a_fn)
             res.append(_update(base, control=CVal(PostValue(arr, None)), pc=pc_proc))
         pc_non = feasible(base.pc, "nonproc?", w, ctx.solver, depth)

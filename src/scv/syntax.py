@@ -688,13 +688,13 @@ def desugar(program: SurfaceProgram) -> Expr:
         if isinstance(e, Ref):
             if e.x in scope:
                 return e
-            spec = primitives.PRIM_TABLE.get(e.x)
+            spec = primitives.surface_spec(e.x)
             if spec is None:
                 raise DesugarError(f"{e.pos}: unbound variable '{e.x}'")
             if spec.guard_contract is None:
-                return Prim(e.x, e.pos)
-            site = Label(f"{e.x}@{e.pos}", TRANSPARENT, e.pos)
-            return Mon(LANGUAGE_LABEL, site, spec.guard_contract, Prim(e.x, e.pos), e.pos)
+                return Prim(spec.name, e.pos)
+            site = Label(f"{spec.name}@{e.pos}", TRANSPARENT, e.pos)
+            return Mon(LANGUAGE_LABEL, site, spec.guard_contract, Prim(spec.name, e.pos), e.pos)
         if isinstance(e, (Num, Prim, Opq)):
             return e
         if isinstance(e, Lam):

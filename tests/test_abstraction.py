@@ -13,21 +13,23 @@ from scv.syntax import Label, Num, alpha_rename, desugar, parse_expr
 
 def test_abstract_alloc_deterministic():
     h = frozenset({(Label("l1"), Num(1))})
-    assert alloc("z", h, ABSTRACT) == alloc("z", h, ABSTRACT)
-    assert alloc("z", h, ABSTRACT) != alloc("z", frozenset(), ABSTRACT)
+    ctx = RunCtx(config=Config(mode=ABSTRACT))
+    assert alloc("z", h, ctx) == alloc("z", h, ctx)
+    assert alloc("z", h, ctx) != alloc("z", frozenset(), ctx)
 
 
 def test_concrete_alloc_fresh():
     ctx = RunCtx(config=Config(mode=CONCRETE))
-    assert alloc("z", frozenset(), CONCRETE, ctx) != alloc("z", frozenset(), CONCRETE, ctx)
+    assert alloc("z", frozenset(), ctx) != alloc("z", frozenset(), ctx)
 
 
 def test_kont_alloc_keys_on_body_and_env():
     body = parse_expr("(add1 x)")
     e1 = Env({"x": ("var", "x", frozenset())})
     e2 = Env({"x": ("var", "y", frozenset())})
-    assert kont_alloc(body, e1, ABSTRACT) == kont_alloc(body, e1, ABSTRACT)
-    assert kont_alloc(body, e1, ABSTRACT) != kont_alloc(body, e2, ABSTRACT)
+    ctx = RunCtx(config=Config(mode=ABSTRACT))
+    assert kont_alloc(body, e1, ctx) == kont_alloc(body, e1, ctx)
+    assert kont_alloc(body, e1, ctx) != kont_alloc(body, e2, ctx)
 
 
 def test_loop_reuses_addresses_and_widens():

@@ -137,3 +137,46 @@ def test_counterexample_text_round_trips():
             if isinstance(va, VNum) or isinstance(vb, VNum):
                 assert va == vb, program_to_text(program)
     assert compared >= 40
+
+
+def test_internal_predicate_in_source_exits_two(tmp_path):
+    p = tmp_path / "internal.lms"
+    p.write_text("(nonzero? 5)", encoding="utf-8")
+    out = run_cli("run", str(p))
+    assert out.returncode == 2
+    assert "unbound variable 'nonzero?'" in out.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", corpus_path("micro-flat.lms")],
+    ["dump-trace", corpus_path("micro-flat.lms"), "--out", "trace.jsonl"],
+    ["fuzz", "--programs", "2", "--trials", "1"],
+])
+def test_unknown_solver_name_exits_two(command, tmp_path, monkeypatch, capsys):
+    """A solver that cannot be found is an error, not a silent --no-solver
+    run, whether it is named by the flag or by the environment."""
+    from scv.cli import main
+    from scv.config import SOLVER_ENV_VAR
+
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--solver", "no-such-solver-binary"]) == 2
+    assert capsys.readouterr().err == "error: solver not found: no-such-solver-binary\n"
+    monkeypatch.setenv(SOLVER_ENV_VAR, "no-such-solver-binary")
+    assert main(command) == 2
+    assert capsys.readouterr().err == "error: solver not found: no-such-solver-binary\n"
+    assert list(tmp_path.iterdir()) == []  # nothing analysed, no trace written
+
+
+def test_verify_path_imports_no_logging():
+    """Import-graph guard: the modules a verify run loads must not pull in
+    `logging` (start-up time is most of a `scv verify` call)."""
+    probe = "import sys, scv.cli, scv.semantics, scv.feasibility; print('logging' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=subprocess_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -14,24 +14,24 @@ from scv.machine import Env, GlobalStores, LEAK_ADDR, VClo, VNum, VOpq, load
 from scv.syntax import Num, Set, parse_expr
 
 
-def fresh_stores() -> GlobalStores:
-    stores = GlobalStores()
+def fresh_stores(policy=None) -> GlobalStores:
+    stores = GlobalStores(policy)
     stores.values[LEAK_ADDR] = frozenset({VOpq()})
     return stores
 
 
 def test_leak_concrete_keeps_value():
     stores = fresh_stores()
-    leak(stores, VNum(5), None)  # concrete mode: plain set union
+    leak(stores, VNum(5))  # concrete mode: plain set union
     assert VNum(5) in stores.lookup(LEAK_ADDR)
     size = len(stores.lookup(LEAK_ADDR))
-    leak(stores, VNum(5), None)
+    leak(stores, VNum(5))
     assert len(stores.lookup(LEAK_ADDR)) == size  # set semantics
 
 
 def test_leak_abstract_widens_numbers_into_unknown():
-    stores = fresh_stores()
-    leak(stores, VNum(5), widen)
+    stores = fresh_stores(widen)
+    leak(stores, VNum(5))
     covered = stores.lookup(LEAK_ADDR)
     assert any(isinstance(v, VOpq) for v in covered)
 
@@ -59,21 +59,21 @@ def test_should_rerun_first_then_memoized():
 
 
 def test_should_rerun_after_reachable_mutation():
-    stores = fresh_stores()
+    stores = fresh_stores(widen)
     memo = HavocMemo()
     addr = ("var", "n", frozenset())
     stores.values[addr] = frozenset({VNum(1)})
     clo = VClo("x", Num(0), Env({"n": addr}), frozenset())
     assert should_rerun(clo, stores, memo)
     assert not should_rerun(clo, stores, memo)
-    stores.join_value(addr, VNum(0), widen)  # a mutation widened the cell
+    stores.join_value(addr, VNum(0))  # a mutation widened the cell
     assert should_rerun(clo, stores, memo)
 
 
 def test_context_mutable_vars_follows_reachable_bodies():
     stores = fresh_stores()
     mutator = VClo("u", Set("n", Num(1)), Env({"n": ("var", "n", frozenset())}), frozenset())
-    leak(stores, mutator, None)
+    leak(stores, mutator)
     assert "n" in context_mutable_vars(stores)
 
 

@@ -93,14 +93,43 @@ def test_store_growth_logs_changes():
     assert stores.changed == []
 
 
+def test_assign_without_widening_replaces():
+    x = ("fresh", "x", 0)
+    stores = GlobalStores()
+    stores.join_value(x, VNum(1))
+    stores.changed.clear()
+    assert stores.assign(x, VNum(2)) == VNum(2)
+    assert stores.lookup(x) == frozenset({VNum(2)})
+    assert stores.changed == [x]
+
+
+def test_assign_with_widening_joins():
+    x = ("var", "x", frozenset())
+    stores = GlobalStores(widen)
+    stores.join_value(x, VNum(2))
+    rep = stores.assign(x, VNum(4))
+    assert rep == VOpq(frozenset({"int?", "even?", "positive?"}))
+    assert stores.lookup(x) == frozenset({rep})
+
+
+def test_assign_of_the_same_value_logs_no_change():
+    for policy in (None, widen):
+        stores = GlobalStores(policy)
+        x = ("var", "x", frozenset())
+        stores.assign(x, VNum(1))
+        stores.changed.clear()
+        stores.assign(x, VNum(1))
+        assert stores.changed == [], policy
+
+
 def test_leak_set_only_grows():
     from scv.havoc import leak
 
-    stores = GlobalStores()
+    stores = GlobalStores(widen)
     stores.values[LEAK_ADDR] = frozenset({VOpq()})
     sizes = []
     for v in (VNum(3), VPrim("add1"), VClo("x", Num(0), Env(), frozenset())):
-        leak(stores, v, widen)
+        leak(stores, v)
         sizes.append(len(stores.lookup(LEAK_ADDR)))
     assert sizes == sorted(sizes)
 

@@ -58,6 +58,16 @@ def test_distr_if_and_mon_order():
     assert isinstance(frames[0], FMonC)
 
 
+def test_distr_frames_hold_the_control_they_resume():
+    env = Env({"f": ("a",), "x": ("b",), "c": ("c",)})
+    _, (app,) = distr(parse_expr("(f x)"), env)
+    assert app.pending == CEval(Ref("x"), env)
+    _, (branch,) = distr(parse_expr("(if c f x)"), env)
+    assert (branch.then, branch.orelse) == (CEval(Ref("f"), env), CEval(Ref("x"), env))
+    _, (mon,) = distr(parse_expr("(mon p q f x)"), env)
+    assert mon.pending == CEval(Ref("x"), env)
+
+
 def test_lit_value_shapes():
     env, pc = Env(), frozenset()
     assert lit(Num(5), env, pc) == PostValue(VNum(5), Num(5))

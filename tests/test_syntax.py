@@ -131,6 +131,34 @@ def test_unbound_variable_rejected_at_desugar():
         desugar(parse("(add1 y)"))
 
 
+def _run(text: str):
+    from scv.abstraction import run_concrete
+
+    return run_concrete(alpha_rename(desugar(parse(text))))
+
+
+def test_surface_aliases_run_like_their_primitives():
+    for alias, canonical in (("≤", "<="), ("−", "-")):
+        for args in ("1 2", "5 3", "2 2"):
+            a = _run(f"({alias} {args})").value.value
+            assert a == _run(f"({canonical} {args})").value.value, (alias, args)
+        # a misused alias blames its own call site, as the primitive does
+        text = f"(define f (λ (x) ({alias} x 1)))\n(f add1)"
+        got = _run(text)
+        assert got.kind == "blame" and got.positive == f"{canonical}@1:19"
+        assert got == _run(text.replace(alias, canonical))
+
+
+def test_program_binding_of_an_alias_shadows_it():
+    assert _run("(define ≤ (λ (x) (λ (y) 7))) (≤ 1 2)").value.value.n == 7
+
+
+def test_internal_predicates_are_not_source_names():
+    for name in ("nonzero?", "nonproc?"):
+        with pytest.raises(DesugarError, match="unbound variable"):
+            desugar(parse(f"({name} 5)"))
+
+
 def test_forward_reference_rejected():
     with pytest.raises(DesugarError):
         desugar(parse("(define a (add1 b)) (define b 1) a"))
