@@ -138,7 +138,7 @@ def cmd_run(args) -> int:
     if "Opq" in node_kinds(core):
         print("error: program contains holes; use verify instead", file=sys.stderr)
         return EXIT_ERROR
-    config = _config_from_args(args, CONCRETE)
+    config = Config(mode=CONCRETE, max_sym_depth=args.sym_depth, trace_path=args.trace)
     outcome = run_concrete(core, config, max_steps=args.steps)
     if outcome.kind == "timeout":
         print("no answer (budget)", file=sys.stderr)
@@ -183,11 +183,20 @@ def cmd_dump_trace(args) -> int:
 
 
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", default=None, help="SMT solver binary (default: bundled)")
-    p.add_argument("--no-solver", action="store_true", help="syntactic feasibility only")
     p.add_argument("--sym-depth", type=int, default=4, help="symbolic-name depth bound")
     p.add_argument("--steps", type=int, default=1_000_000, help="state budget")
+
+
+def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
+    _add_shared_flags(p)
+    p.add_argument("--solver", default=None, help="SMT solver binary (default: bundled)")
+    p.add_argument("--no-solver", action="store_true", help="syntactic feasibility only")
     p.add_argument("--no-havoc-memo", action="store_true", help="disable leaked-value memoization")
+
+
+def _add_report_flags(p: argparse.ArgumentParser) -> None:
+    _add_analysis_flags(p)
+    p.add_argument("--mode", choices=(ABSTRACT, CONCRETE), default=ABSTRACT)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -197,9 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="statically verify a program against unknown contexts")
     p_verify.add_argument("path")
-    p_verify.add_argument("--mode", choices=(ABSTRACT, CONCRETE), default=ABSTRACT)
     p_verify.add_argument("--trace", default=None, help="write a state-dump stream to FILE")
-    _add_shared_flags(p_verify)
+    _add_report_flags(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_run = sub.add_parser("run", help="concretely execute a hole-free program")
@@ -213,14 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--programs", type=int, default=200)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--size", type=int, default=16)
-    _add_shared_flags(p_fuzz)
+    _add_analysis_flags(p_fuzz)
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
     p_trace = sub.add_parser("dump-trace", help="verify while streaming visited states")
     p_trace.add_argument("path")
     p_trace.add_argument("--out", default="trace.jsonl")
-    p_trace.add_argument("--mode", choices=(ABSTRACT, CONCRETE), default=ABSTRACT)
-    _add_shared_flags(p_trace)
+    _add_report_flags(p_trace)
     p_trace.set_defaults(fn=cmd_dump_trace)
 
     return parser

@@ -14,7 +14,8 @@ SOLVER_ENV_VAR = "SCV_SOLVER"
 
 
 class SolverNotFound(LookupError):
-    """A solver name that is neither `builtin`, a path, nor on `PATH`."""
+    """A solver name that is neither `builtin`, an executable path, nor on
+    `PATH`."""
 
 
 @dataclass

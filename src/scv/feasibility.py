@@ -343,7 +343,7 @@ def open_solver(name_or_path: Optional[str]) -> Optional[SolverClient]:
     Raises `SolverNotFound` for a name that names no solver."""
     if name_or_path is None:
         return None
-    if name_or_path != "builtin" and shutil.which(name_or_path) is None and "/" not in name_or_path:
+    if name_or_path != "builtin" and shutil.which(name_or_path) is None:
         raise SolverNotFound(name_or_path)
     return SolverClient(name_or_path)
 

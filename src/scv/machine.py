@@ -15,12 +15,13 @@ allocation gives every address exactly one value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
-from .syntax import Expr, Label, print_expr
+from .syntax import Expr, print_expr
 
 __all__ = [
+    "Record",
     "Value",
     "VNum",
     "VPrim",
@@ -58,82 +59,120 @@ __all__ = [
     "state_to_dict",
 ]
 
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the machine's immutable records: values, post-values, frames,
+    controls and states.
+
+    A subclass names its fields in `__slots__`, in constructor order, and
+    may give defaults for trailing fields in `_defaults`.  Records hash as
+    the tuple of their fields; the hash is computed on first use and kept,
+    since states and values live in large seen-sets and stores.  Two
+    records are equal when they have the same class and equal fields.
+    """
+
+    __slots__ = ("_hash",)
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__slots__
+        if len(fields) == 1:
+            get = attrgetter(*fields)
+            cls._values = staticmethod(lambda r: (get(r),))
+        elif fields:
+            cls._values = attrgetter(*fields)
+
+    def __init__(self, *values) -> None:
+        if len(values) < len(self.__slots__):
+            values += self._defaults[len(values) - len(self.__slots__):]
+        for name, v in zip(self.__slots__, values, strict=True):
+            _set(self, name, v)
+        _set(self, "_hash", None)
+
+    def __setattr__(self, *a):  # immutability guard
+        raise AttributeError("immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            _set(self, "_hash", hash(self._values(self)))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            type(self) is type(other) and self._values(self) == other._values(other)
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._values(self)))})"
+
 
 # --------------------------------------------------------------------------
 # Runtime values
 # --------------------------------------------------------------------------
 
 
-class Value:
-    """Marker base class; concrete variants below are immutable."""
+class Value(Record):
+    """Marker base class of the runtime values."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class VNum(Value):
-    n: int
+    __slots__ = ("n",)
 
     def __repr__(self) -> str:
         return str(self.n)
 
 
-@dataclass(frozen=True)
 class VPrim(Value):
-    """A primitive operation, possibly partially applied (two-argument
-    primitives are curried)."""
+    """A primitive operation `op`, possibly partially applied to `arg0`
+    (two-argument primitives are curried)."""
 
-    op: str
-    arg0: Optional[Value] = None
+    __slots__ = ("op", "arg0")
+    _defaults = (None,)
 
     def __repr__(self) -> str:
         return self.op if self.arg0 is None else f"({self.op} {self.arg0!r})"
 
 
-@dataclass(frozen=True)
 class VClo(Value):
-    """Closure: parameter, body, environment, and the path condition saved
-    at creation to constrain its free variables."""
+    """Closure: parameter `x`, `body`, environment `env`, and the path
+    condition `pc` saved at creation to constrain its free variables."""
 
-    x: str
-    body: Expr
-    env: "Env"
-    pc: frozenset
+    __slots__ = ("x", "body", "env", "pc")
 
     def __repr__(self) -> str:
         return f"<clo {self.x}>"
 
 
-@dataclass(frozen=True)
 class VGrd(Value):
     """Higher-order contract with store-allocated domain and range maker."""
 
-    a_dom: tuple
-    a_rng: tuple
+    __slots__ = ("a_dom", "a_rng")
 
     def __repr__(self) -> str:
         return "<grd>"
 
 
-@dataclass(frozen=True)
 class VArr(Value):
     """Guarded function: blame parties plus addresses of the contract and
     the wrapped function."""
 
-    pos_label: Label
-    neg_label: Label
-    a_con: tuple
-    a_fn: tuple
+    __slots__ = ("pos_label", "neg_label", "a_con", "a_fn")
 
     def __repr__(self) -> str:
         return f"<arr {self.pos_label}/{self.neg_label}>"
 
 
-@dataclass(frozen=True)
 class VOpq(Value):
     """Unknown value carrying the predicates it is known to satisfy."""
 
-    refinements: frozenset = frozenset()
+    __slots__ = ("refinements",)
+    _defaults = (frozenset(),)
 
     def __repr__(self) -> str:
         if not self.refinements:
@@ -145,10 +184,10 @@ class VOpq(Value):
 SymName = Optional[Expr]
 
 
-@dataclass(frozen=True)
-class PostValue:
-    value: Value
-    sym: SymName = None
+class PostValue(Record):
+    """A value and its symbolic name (`sym`, None when it has none)."""
+
+    __slots__ = ("value", "sym")
 
     def __repr__(self) -> str:
         s = "∅" if self.sym is None else print_expr(self.sym)
@@ -237,100 +276,68 @@ DETACHED: KontAddr = ("detached",)
 # --------------------------------------------------------------------------
 
 
-class Frame:
+class Frame(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FAppArg(Frame):
-    """Function position under evaluation; argument pending."""
+    """Function position under evaluation; argument `pending` (a Control)
+    at call site `label`."""
 
-    pending: Control
-    label: Label
+    __slots__ = ("pending", "label")
 
 
-@dataclass(frozen=True)
 class FAppFn(Frame):
-    """Function evaluated; argument under evaluation."""
+    """Function `fn` (a PostValue) evaluated; argument under evaluation."""
 
-    fn: PostValue
-    label: Label
+    __slots__ = ("fn", "label")
 
 
-@dataclass(frozen=True)
 class FIf(Frame):
     """Condition under evaluation; the feasible branches resume."""
 
-    then: Control
-    orelse: Control
+    __slots__ = ("then", "orelse")
 
 
-@dataclass(frozen=True)
 class FSet(Frame):
-    x: str
-    env: Env
+    __slots__ = ("x", "env")
 
 
-@dataclass(frozen=True)
 class FGrd(Frame):
     """Domain of a dependent contract under evaluation; the range maker is
     closed later over the saved environment."""
 
-    x: str
-    rng_body: Expr
-    env: Env
-    node: Expr
+    __slots__ = ("x", "rng_body", "env", "node")
 
 
-@dataclass(frozen=True)
 class FMonC(Frame):
     """Contract under evaluation; monitored expression pending."""
 
-    pos_label: Label
-    neg_label: Label
-    pending: Control
-    node: Expr
+    __slots__ = ("pos_label", "neg_label", "pending", "node")
 
 
-@dataclass(frozen=True)
 class FMonV(Frame):
     """Contract evaluated; monitored expression under evaluation.  Also the
     dispatch point deciding flat versus higher-order monitoring.  `node` is
     the allocation key for the wrapper this check may create."""
 
-    pos_label: Label
-    neg_label: Label
-    contract: PostValue
-    node: object
+    __slots__ = ("pos_label", "neg_label", "contract", "node")
 
 
-@dataclass(frozen=True)
 class FArrDom(Frame):
     """Guarded application: domain check running; next the range maker is
     applied to the checked argument."""
 
-    pos_label: Label
-    neg_label: Label
-    rng_maker: PostValue
-    fn: PostValue
-    label: Label
-    node: Expr
+    __slots__ = ("pos_label", "neg_label", "rng_maker", "fn", "label", "node")
 
 
-@dataclass(frozen=True)
 class FArrRng(Frame):
     """Guarded application: range contract being computed; next the wrapped
     function is applied to the checked argument."""
 
-    pos_label: Label
-    neg_label: Label
-    fn: PostValue
-    checked: PostValue
-    label: Label
-    node: Expr
+    __slots__ = ("pos_label", "neg_label", "fn", "checked", "label", "node")
 
 
-@dataclass(frozen=True)
 class FRt(Frame):
     """Return point of a closure application: restores the caller's view.
 
@@ -338,11 +345,7 @@ class FRt(Frame):
     kept live instead of invalidated.
     """
 
-    x: str
-    ys: frozenset
-    sym: SymName
-    saved_cache: Cache
-    shared: bool = False
+    __slots__ = ("x", "ys", "sym", "saved_cache", "shared")
 
 
 # --------------------------------------------------------------------------
@@ -350,63 +353,28 @@ class FRt(Frame):
 # --------------------------------------------------------------------------
 
 
-class Control:
+class Control(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CEval(Control):
-    expr: Expr
-    env: Env
+    __slots__ = ("expr", "env")
 
 
-@dataclass(frozen=True)
 class CVal(Control):
-    w: PostValue
+    __slots__ = ("w",)
 
 
-@dataclass(frozen=True)
 class CBlame(Control):
     """Terminal: `pos_label` violated its contract with `neg_label`."""
 
-    pos_label: Label
-    neg_label: Label
+    __slots__ = ("pos_label", "neg_label")
 
 
-class MachineState:
-    """One machine state; immutable, with the hash computed once (states
-    live in large seen-sets and worklists)."""
+class MachineState(Record):
+    """One machine state."""
 
-    __slots__ = ("control", "cache", "pc", "frames", "kaddr", "history", "_hash")
-
-    def __init__(self, control, cache, pc, frames, kaddr, history):
-        object.__setattr__(self, "control", control)
-        object.__setattr__(self, "cache", cache)
-        object.__setattr__(self, "pc", pc)
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "kaddr", kaddr)
-        object.__setattr__(self, "history", history)
-        object.__setattr__(
-            self, "_hash", hash((control, cache, pc, frames, kaddr, history))
-        )
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, MachineState)
-            and self._hash == other._hash
-            and self.control == other.control
-            and self.cache == other.cache
-            and self.pc == other.pc
-            and self.frames == other.frames
-            and self.kaddr == other.kaddr
-            and self.history == other.history
-        )
+    __slots__ = ("control", "cache", "pc", "frames", "kaddr", "history")
 
     def __repr__(self) -> str:
         return f"<state {type(self.control).__name__} frames={len(self.frames)}>"
@@ -501,14 +469,7 @@ def load(e: Expr, widen=None) -> tuple[MachineState, GlobalStores]:
     `widen` that holds only the fully unknown value at the leak address."""
     stores = GlobalStores(widen)
     stores.values[LEAK_ADDR] = frozenset({VOpq()})
-    state = MachineState(
-        control=CEval(e, Env()),
-        cache=Cache(),
-        pc=frozenset(),
-        frames=(),
-        kaddr=HALT,
-        history=frozenset(),
-    )
+    state = MachineState(CEval(e, Env()), Cache(), frozenset(), (), HALT, frozenset())
     return state, stores
 
 
@@ -521,7 +482,7 @@ def _sym_str(s: SymName) -> str:
     return "∅" if s is None else print_expr(s)
 
 
-def state_to_dict(state: MachineState, stores: Optional[GlobalStores] = None) -> dict:
+def state_to_dict(state: MachineState) -> dict:
     """JSON-ready summary of a state, for traces and debugging."""
     c = state.control
     if isinstance(c, CEval):
@@ -534,7 +495,7 @@ def state_to_dict(state: MachineState, stores: Optional[GlobalStores] = None) ->
             "positive": c.pos_label.name,
             "negative": c.neg_label.name,
         }
-    out = {
+    return {
         "control": control,
         "pc": sorted(print_expr(e) for e in state.pc),
         "cache": {
@@ -543,9 +504,3 @@ def state_to_dict(state: MachineState, stores: Optional[GlobalStores] = None) ->
         "frames": len(state.frames),
         "transfers": len(state.history),
     }
-    if stores is not None:
-        out["store"] = {
-            "addresses": len(stores.values),
-            "leaked": sorted(repr(v) for v in stores.lookup(LEAK_ADDR)),
-        }
-    return out

@@ -154,17 +154,31 @@ def test_internal_predicate_in_source_exits_two(tmp_path):
 ])
 def test_unknown_solver_name_exits_two(command, tmp_path, monkeypatch, capsys):
     """A solver that cannot be found is an error, not a silent --no-solver
-    run, whether it is named by the flag or by the environment."""
+    run or a dead external solver, whether it is a bare name or a path and
+    whether the flag or the environment names it."""
     from scv.cli import main
     from scv.config import SOLVER_ENV_VAR
 
     monkeypatch.chdir(tmp_path)
-    assert main(command + ["--solver", "no-such-solver-binary"]) == 2
-    assert capsys.readouterr().err == "error: solver not found: no-such-solver-binary\n"
-    monkeypatch.setenv(SOLVER_ENV_VAR, "no-such-solver-binary")
-    assert main(command) == 2
-    assert capsys.readouterr().err == "error: solver not found: no-such-solver-binary\n"
+    for name in ("no-such-solver-binary", str(tmp_path / "no-such-dir" / "z3")):
+        assert main(command + ["--solver", name]) == 2
+        assert capsys.readouterr().err == f"error: solver not found: {name}\n"
+        monkeypatch.setenv(SOLVER_ENV_VAR, name)
+        assert main(command) == 2
+        assert capsys.readouterr().err == f"error: solver not found: {name}\n"
+        monkeypatch.delenv(SOLVER_ENV_VAR)
     assert list(tmp_path.iterdir()) == []  # nothing analysed, no trace written
+
+
+def test_run_rejects_flags_it_does_not_read(capsys):
+    """`run` prints no report and opens no solver, so report and solver
+    flags are usage errors there."""
+    from scv.cli import main
+
+    with pytest.raises(SystemExit) as ex:
+        main(["run", corpus_path("micro-flat.lms"), "--format", "json"])
+    assert ex.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_verify_path_imports_no_logging():

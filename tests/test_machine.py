@@ -1,14 +1,30 @@
+import pytest
+
 from scv.abstraction import widen
 from scv.machine import (
     Cache,
+    CBlame,
     CEval,
+    CVal,
     Env,
+    FAppArg,
+    FAppFn,
+    FArrDom,
+    FArrRng,
+    FGrd,
+    FIf,
+    FMonC,
+    FMonV,
+    FRt,
+    FSet,
     GlobalStores,
     HALT,
     LEAK_ADDR,
     MachineState,
     PostValue,
+    VArr,
     VClo,
+    VGrd,
     VNum,
     VOpq,
     VPrim,
@@ -16,7 +32,56 @@ from scv.machine import (
     load,
     state_to_dict,
 )
-from scv.syntax import Num, Opq, parse_expr
+from scv.syntax import Label, Num, Opq, Ref, parse_expr
+
+POS, NEG = Label("f"), Label("g")
+
+
+def _w():
+    return PostValue(VNum(1), Ref("x"))
+
+
+# One instance of each machine record: its class, one field name, and a
+# factory for its full field tuple (each call builds fresh, equal objects).
+RECORDS = [
+    (VNum, "n", lambda: (1,)),
+    (VPrim, "op", lambda: ("add", VNum(1))),
+    (VClo, "x", lambda: ("x", Num(1), Env({"y": ("var", "y", frozenset())}), frozenset({Ref("y")}))),
+    (VGrd, "a_dom", lambda: (("node", "d"), ("node", "r"))),
+    (VArr, "pos_label", lambda: (POS, NEG, ("node", "c"), ("node", "f"))),
+    (VOpq, "refinements", lambda: (frozenset({"int?"}),)),
+    (PostValue, "value", lambda: (VNum(1), Ref("x"))),
+    (FAppArg, "pending", lambda: (CEval(Num(1), Env()), POS)),
+    (FAppFn, "fn", lambda: (_w(), POS)),
+    (FIf, "then", lambda: (CEval(Num(1), Env()), CVal(_w()))),
+    (FSet, "x", lambda: ("x", Env())),
+    (FGrd, "x", lambda: ("x", Num(1), Env(), Num(2))),
+    (FMonC, "pending", lambda: (POS, NEG, CBlame(POS, NEG), Num(3))),
+    (FMonV, "contract", lambda: (POS, NEG, _w(), ("node", "c"))),
+    (FArrDom, "rng_maker", lambda: (POS, NEG, _w(), _w(), POS, Num(4))),
+    (FArrRng, "checked", lambda: (POS, NEG, _w(), _w(), POS, Num(4))),
+    (FRt, "saved_cache", lambda: ("x", frozenset({"y"}), Ref("x"), Cache({"y": _w()}), True)),
+    (CEval, "expr", lambda: (Num(1), Env())),
+    (CVal, "w", lambda: (_w(),)),
+    (CBlame, "neg_label", lambda: (POS, NEG)),
+    (MachineState, "frames", lambda: (CVal(_w()), Cache(), frozenset(), (FAppFn(_w(), POS),), HALT, frozenset())),
+]
+
+
+@pytest.mark.parametrize("cls, field, make", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
+def test_record_contract(cls, field, make):
+    """Records hash as their field tuple (so every set iterates in the same
+    order whatever the record implementation), compare by class and fields,
+    and are immutable."""
+    r = cls(*make())
+    assert hash(r) == hash(make())
+    copy = cls(*make())
+    assert copy is not r and copy == r and hash(copy) == hash(r)
+    with pytest.raises(AttributeError):
+        setattr(r, field, getattr(r, field))
+    w = _w()
+    assert FAppArg(w, POS) != FAppFn(w, POS)
+    assert VOpq() == VOpq(frozenset()) and VPrim("add1").arg0 is None
 
 
 def test_load_initial_state_shape():
@@ -135,9 +200,8 @@ def test_leak_set_only_grows():
 
 
 def test_state_dump_schema():
-    state, stores = load(parse_expr("(add1 1)"))
-    doc = state_to_dict(state, stores)
+    state, _ = load(parse_expr("(add1 1)"))
+    doc = state_to_dict(state)
     assert doc["control"]["kind"] == "eval"
     assert doc["pc"] == []
     assert doc["cache"] == {}
-    assert doc["store"]["addresses"] == 1
