@@ -29,14 +29,18 @@ escape points share one exploration of each leaked value per context.
 
 Re-running a leaked value is memoized on a fingerprint of everything that
 run can observe: the store slice it reaches plus the canonical context.
-Skipping an identical re-application is therefore a pure exploration
-filter and never changes the reported blame set.
+The fingerprint is that data itself, compared by equality, not a digest
+of it.  It needs none: store value sets, caches and path conditions are
+immutable and hash once, and the slice shares the store's value sets by
+reference, so building and comparing it costs about one tuple hash and
+one identity test per reachable address, and two different contexts
+never compare equal.  Skipping an identical re-application is therefore a
+pure exploration filter and never changes the reported blame set.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Optional
+from typing import Iterable, Optional
 
 from .machine import (
     Addr,
@@ -63,7 +67,6 @@ __all__ = [
     "leak",
     "opaque_application",
     "should_rerun",
-    "reachable_addrs",
     "fingerprint",
     "value_key",
 ]
@@ -103,9 +106,9 @@ def _value_key(v: Value) -> str:
     raise AssertionError(f"unknown value {v!r}")
 
 
-def _direct_addrs(v: Value) -> tuple:
+def _direct_addrs(v: Value) -> Iterable[Addr]:
     if isinstance(v, VClo):
-        return tuple(addr for _, addr in sorted(v.env.items()))
+        return v.env.values()
     if isinstance(v, VGrd):
         return (v.a_dom, v.a_rng)
     if isinstance(v, VArr):
@@ -115,52 +118,37 @@ def _direct_addrs(v: Value) -> tuple:
     return ()
 
 
-def reachable_addrs(v: Value, stores: GlobalStores) -> frozenset:
-    """Store addresses reachable from a value through environments and
-    wrapper references."""
-    seen: set[Addr] = set()
+def fingerprint(v: Value, stores: GlobalStores, state: Optional[MachineState] = None, toplevel: frozenset = frozenset()) -> tuple:
+    """Everything that can affect applying `v` from an unknown context, as a
+    key compared by equality: the store slice `v` reaches through
+    environments and wrapper references, as (address, values) pairs, plus
+    the applying state's live top-level cache entries, path condition and
+    transfer history.  Every address is read through `stores.lookup`, so
+    the driver revisits the caller when the slice grows."""
+    slice_: dict[Addr, frozenset] = {}
     frontier = list(_direct_addrs(v))
     while frontier:
         addr = frontier.pop()
-        if addr in seen:
-            continue
-        seen.add(addr)
-        for member in stores.lookup(addr):
-            frontier.extend(_direct_addrs(member))
-    return frozenset(seen)
-
-
-def fingerprint(v: Value, stores: GlobalStores, state: Optional[MachineState] = None, toplevel: frozenset = frozenset()) -> bytes:
-    """128-bit digest of everything that can affect applying `v` from an
-    unknown context: the store slice it reaches plus the applying state's
-    live top-level cache entries, path condition, and transfer history."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(value_key(v).encode())
-    for addr in sorted(reachable_addrs(v, stores), key=repr):
-        h.update(repr(addr).encode())
-        for member in sorted(stores.lookup(addr), key=value_key):
-            h.update(value_key(member).encode())
-    if state is not None:
-        kept = frozenset(
-            (x, w) for x, w in state.cache.items() if x in toplevel
-        )
-        h.update(str(hash(kept)).encode())
-        h.update(str(hash(state.pc)).encode())
-        h.update(str(hash(state.history)).encode())
-    return h.digest()
+        if addr not in slice_:
+            members = slice_[addr] = stores.lookup(addr)
+            for member in members:
+                frontier.extend(_direct_addrs(member))
+    if state is None:
+        return (frozenset(slice_.items()),)
+    kept = frozenset((x, w) for x, w in state.cache.items() if x in toplevel)
+    return frozenset(slice_.items()), kept, state.pc, state.history
 
 
 class HavocMemo:
-    """Last-run fingerprints per leaked value."""
+    """Last-run fingerprint per leaked value, keyed on the value itself."""
 
     def __init__(self) -> None:
-        self.entries: dict[str, bytes] = {}
+        self.entries: dict[Value, tuple] = {}
 
-    def check_and_mark(self, v: Value, fp: bytes) -> bool:
-        key = value_key(v)
-        if self.entries.get(key) == fp:
+    def check_and_mark(self, v: Value, fp: tuple) -> bool:
+        if self.entries.get(v) == fp:
             return False
-        self.entries[key] = fp
+        self.entries[v] = fp
         return True
 
 

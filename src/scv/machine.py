@@ -226,6 +226,9 @@ class _FrozenMap:
     def items(self):
         return self._d.items()
 
+    def values(self):
+        return self._d.values()
+
     def set(self, k, v):
         d = dict(self._d)
         d[k] = v

@@ -6,12 +6,22 @@ from scv.havoc import (
     context_mutable_vars,
     fingerprint,
     leak,
-    reachable_addrs,
     should_rerun,
-    value_key,
 )
-from scv.machine import Env, GlobalStores, LEAK_ADDR, VClo, VNum, VOpq, load
-from scv.syntax import Num, Set, parse_expr
+from scv.machine import (
+    Cache,
+    CVal,
+    DETACHED,
+    Env,
+    GlobalStores,
+    LEAK_ADDR,
+    MachineState,
+    PostValue,
+    VClo,
+    VNum,
+    VOpq,
+)
+from scv.syntax import Num, Set
 
 
 def fresh_stores(policy=None) -> GlobalStores:
@@ -36,18 +46,60 @@ def test_leak_abstract_widens_numbers_into_unknown():
     assert any(isinstance(v, VOpq) for v in covered)
 
 
-def test_closure_reachability_enters_fingerprint():
-    stores = fresh_stores()
+def nested_closure(stores: GlobalStores) -> tuple:
+    """A closure reaching three addresses, the last through a closure stored
+    in the second; returns the closure and the addresses."""
     a1, a2, a3 = ("var", "a", frozenset()), ("var", "b", frozenset()), ("var", "c", frozenset())
     inner = VClo("y", Num(0), Env({"c": a3}), frozenset())
     stores.values[a1] = frozenset({VNum(1)})
     stores.values[a2] = frozenset({inner})
     stores.values[a3] = frozenset({VNum(7)})
-    clo = VClo("x", Num(0), Env({"a": a1, "b": a2}), frozenset())
+    return VClo("x", Num(0), Env({"a": a1, "b": a2}), frozenset()), (a1, a2, a3)
+
+
+def reachable_addrs(v, stores: GlobalStores) -> set:
+    """The addresses of the store slice in `v`'s fingerprint."""
+    return {addr for addr, _ in fingerprint(v, stores)[0]}
+
+
+def test_closure_reachability_enters_fingerprint():
+    stores = fresh_stores()
+    clo, (a1, a2, a3) = nested_closure(stores)
     assert reachable_addrs(clo, stores) == {a1, a2, a3}
     fp1 = fingerprint(clo, stores)
     stores.values[a3] = frozenset({VNum(8)})
     assert fingerprint(clo, stores) != fp1
+
+
+def test_should_rerun_records_every_reachable_read():
+    """The driver revisits an escape point when an address it read grows, so
+    `should_rerun` must read the whole slice, whether it reruns or skips."""
+    stores = fresh_stores()
+    memo = HavocMemo()
+    clo, addrs = nested_closure(stores)
+    for expected in (True, False):
+        stores.reads = set()
+        assert should_rerun(clo, stores, memo) is expected
+        assert stores.reads >= set(addrs)
+
+
+def test_memo_tells_apart_cache_entries_with_equal_hashes():
+    """CPython hashes -1 and -2 alike, so contexts that differ only in
+    `n -> -1` against `n -> -2` must be told apart by equality."""
+    assert hash(-1) == hash(-2)
+    stores = fresh_stores()
+    memo = HavocMemo()
+    clo = VClo("x", Num(0), Env(), frozenset())
+    toplevel = frozenset({"n"})
+
+    def detached_run(n: int) -> MachineState:
+        cache = Cache({"n": PostValue(VNum(n), None)})
+        return MachineState(CVal(PostValue(VOpq(), None)), cache, frozenset(), (), DETACHED, frozenset())
+
+    minus_one, minus_two = detached_run(-1), detached_run(-2)
+    assert should_rerun(clo, stores, memo, minus_one, toplevel)
+    assert should_rerun(clo, stores, memo, minus_two, toplevel)
+    assert not should_rerun(clo, stores, memo, minus_two, toplevel)
 
 
 def test_should_rerun_first_then_memoized():
