@@ -1,7 +1,7 @@
 """Soft contract verifier for a stateful higher-order lambda calculus."""
 
 from .abstraction import AnalysisResult, run_concrete, run_fixpoint
-from .config import ABSTRACT, CONCRETE, Config
+from .config import ABSTRACT, Config
 from .syntax import DesugarError, ParseError, alpha_rename, desugar, parse, with_escapes
 
 __version__ = "0.1.0"
@@ -12,7 +12,6 @@ __all__ = [
     "run_fixpoint",
     "Config",
     "ABSTRACT",
-    "CONCRETE",
     "parse",
     "desugar",
     "alpha_rename",

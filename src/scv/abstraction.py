@@ -1,22 +1,24 @@
-"""Allocation policies, value widening, and the fixpoint exploration engine.
+"""Allocation policies, value widening, and the two drivers.
 
-Concrete allocation is always-fresh and yields plain execution.  Abstract
-allocation keys every address on the syntactic component plus the set of
-call transfers taken so far, so values recurring across iterations of the
-same loop share an address and get widened there; continuation addresses
-are keyed on the callee's body and environment, which gives exact
-call/return matching.  Exploration runs a worklist against globally
-widened stores, revisiting a state only when the stores have grown since
-it was last processed.
+The drivers differ only in their allocator.  `run_concrete` allocates
+fresh addresses and yields plain execution of a closed program.
+`run_fixpoint` allocates abstractly: it keys every address on the
+syntactic component plus the set of call transfers taken so far, so
+values recurring across iterations of the same loop share an address and
+get widened there; continuation addresses are keyed on the callee's body
+and environment, which gives exact call/return matching.  Its exploration
+runs a worklist against globally widened stores, revisiting a state only
+when the stores have grown since it was last processed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .config import ABSTRACT, CONCRETE, Config, RunCtx
+from .config import ABSTRACT, Config, RunCtx
 from . import havoc
 from .havoc import HavocMemo, value_key
 from .machine import (
@@ -55,7 +57,8 @@ __all__ = [
 
 
 def alloc(tag, history: frozenset, ctx: RunCtx) -> Addr:
-    """Address for a binding or wrapper allocation; concrete mode is fresh.
+    """Address for a binding or wrapper allocation; fresh when the run
+    counts fresh addresses (`run_concrete`).
 
     Abstract variable bindings pair the variable with the transfer set, so
     values recurring across iterations of the same loop share an address.
@@ -63,14 +66,14 @@ def alloc(tag, history: frozenset, ctx: RunCtx) -> Addr:
     carry no loop structure, and history-indexing them would mint a fresh
     wrapper identity per context interleaving.
     """
-    if ctx.config.mode == ABSTRACT:
+    if ctx.fresh_addrs is None:
         return ("var", tag, history) if isinstance(tag, str) else ("node", tag)
     return ctx.fresh_addr(tag if isinstance(tag, str) else "node")
 
 
 def kont_alloc(body: Expr, env: Env, ctx: RunCtx) -> KontAddr:
     """Continuation address for entering a closure body."""
-    if ctx.config.mode == ABSTRACT:
+    if ctx.fresh_addrs is None:
         return ("kont", body, env)
     return ("kont", ctx.fresh_addr("k"))
 
@@ -187,12 +190,13 @@ class ConcreteOutcome:
 # --------------------------------------------------------------------------
 
 
-def _make_ctx(expr: Expr, config: Config, solver) -> RunCtx:
+def _make_ctx(expr: Expr, config: Config, solver, fresh_addrs=None) -> RunCtx:
     return RunCtx(
         config=config,
         solver=solver,
         toplevel=toplevel_names(expr),
         memo=HavocMemo(),
+        fresh_addrs=fresh_addrs,
     )
 
 
@@ -203,6 +207,10 @@ def run_fixpoint(expr: Expr, config: Config, solver=None) -> AnalysisResult:
     from .feasibility import open_solver
     from .semantics import step
 
+    # the driver, not the config, picks the semantics: `Config.mode` is read
+    # only here, and stays only for callers that still set it
+    if config.mode != ABSTRACT:
+        raise ValueError(f"run_fixpoint is the abstract driver, not mode {config.mode!r}; use run_concrete")
     own_solver = False
     if solver is None:
         solver = open_solver(config.resolved_solver())
@@ -212,7 +220,7 @@ def run_fixpoint(expr: Expr, config: Config, solver=None) -> AnalysisResult:
 
     # `widen` is looked up per run, so a wrapper put on `abstraction.widen`
     # (perfbench's tracer) sees every widening join
-    state0, stores = load(expr, widen if config.mode == ABSTRACT else None)
+    state0, stores = load(expr, widen)
     trace = open(config.trace_path, "w") if config.trace_path else None
     todo: list[MachineState] = [state0]
     queued: set[MachineState] = {state0}
@@ -291,20 +299,19 @@ def run_fixpoint(expr: Expr, config: Config, solver=None) -> AnalysisResult:
     )
 
 
-def run_concrete(expr: Expr, config: Optional[Config] = None, max_steps: int = 200_000) -> ConcreteOutcome:
-    """Deterministic reference execution with fresh allocation.  The program
-    must contain no holes; every state then has at most one successor."""
+def run_concrete(expr: Expr, config: Optional[Config] = None) -> ConcreteOutcome:
+    """Deterministic reference execution with fresh allocation and no
+    solver, stopping after `config.step_budget` steps.  The program must
+    contain no holes; every state then has at most one successor."""
     from .semantics import InternalError, step
 
-    config = config or Config(mode=CONCRETE)
-    if config.mode != CONCRETE:
-        config = replace(config, mode=CONCRETE, no_solver=True)
-    ctx = _make_ctx(expr, config, None)
+    config = config or Config()
+    ctx = _make_ctx(expr, config, None, itertools.count())
     state, stores = load(expr)
     trace = open(config.trace_path, "w") if config.trace_path else None
     steps = 0
     try:
-        while steps < max_steps:
+        while steps < config.step_budget:
             if trace is not None:
                 trace.write(json.dumps(state_to_dict(state), ensure_ascii=False) + "\n")
             control = state.control

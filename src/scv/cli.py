@@ -1,12 +1,13 @@
-"""Command-line front end: verify, run, fuzz, and dump-trace.
+"""Command-line front end: verify, run, and fuzz.
 
 `verify` parses a program, lets every top-level definition escape to the
 unknown context, and explores the widened state space; it exits 0 when no
 transparent party can be blamed, 1 when potential blames remain (or the
 budget ran out), and 2 on usage or input errors.  `run` is the concrete
-reference execution for hole-free programs.  `fuzz` generates random
-programs with holes and differentially tests blame soundness, writing any
-counterexample out as a source file.
+reference execution for hole-free programs.  Both stream the states they
+visit to `--trace FILE`.  `fuzz` generates random programs with holes and
+differentially tests blame soundness, writing any counterexample out as a
+source file.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from typing import Optional
 
 from .abstraction import AnalysisResult, run_concrete, run_fixpoint
-from .config import ABSTRACT, CONCRETE, Config, SolverNotFound
+from .config import ABSTRACT, Config, SolverNotFound
 from .soundness import differential_check, generate_hole_program
 from .syntax import (
     DesugarError,
@@ -59,9 +60,8 @@ def program_to_text(program: SurfaceProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_from_args(args, mode: str) -> Config:
+def _config_from_args(args) -> Config:
     return Config(
-        mode=mode,
         max_sym_depth=args.sym_depth,
         step_budget=args.steps,
         solver_path=args.solver,
@@ -76,14 +76,14 @@ def _load_program(path: str) -> SurfaceProgram:
         return parse(fh.read())
 
 
-def _report(result: AnalysisResult, checks: int, path: str, mode: str, fmt: str, out) -> None:
+def _report(result: AnalysisResult, checks: int, path: str, fmt: str, out) -> None:
     potential = len(result.blames)
     verified_count = max(checks - potential, 0)
     if fmt == "json":
         doc = {
             "schema_version": 1,
             "file": path,
-            "mode": mode,
+            "mode": ABSTRACT,
             "checks": checks,
             "states": result.explored_states,
             "inconclusive": result.inconclusive,
@@ -119,10 +119,8 @@ def cmd_verify(args) -> int:
     except (OSError, ParseError, DesugarError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_ERROR
-    mode = args.mode
-    config = _config_from_args(args, mode)
-    result = run_fixpoint(core, config)
-    _report(result, count_checks(core), args.path, mode, args.format, sys.stdout)
+    result = run_fixpoint(core, _config_from_args(args))
+    _report(result, count_checks(core), args.path, args.format, sys.stdout)
     if result.blames or result.inconclusive:
         return EXIT_POTENTIAL
     return EXIT_OK
@@ -138,8 +136,8 @@ def cmd_run(args) -> int:
     if "Opq" in node_kinds(core):
         print("error: program contains holes; use verify instead", file=sys.stderr)
         return EXIT_ERROR
-    config = Config(mode=CONCRETE, max_sym_depth=args.sym_depth, trace_path=args.trace)
-    outcome = run_concrete(core, config, max_steps=args.steps)
+    config = Config(max_sym_depth=args.sym_depth, step_budget=args.steps, trace_path=args.trace)
+    outcome = run_concrete(core, config)
     if outcome.kind == "timeout":
         print("no answer (budget)", file=sys.stderr)
         return EXIT_ERROR
@@ -154,7 +152,7 @@ def cmd_run(args) -> int:
 
 def cmd_fuzz(args) -> int:
     rng = random.Random(args.seed)
-    config = _config_from_args(args, ABSTRACT)
+    config = _config_from_args(args)
     violations = 0
     inconclusive = 0
     for i in range(args.programs):
@@ -177,11 +175,6 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_POTENTIAL
 
 
-def cmd_dump_trace(args) -> int:
-    args.trace = args.out
-    return cmd_verify(args)
-
-
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sym-depth", type=int, default=4, help="symbolic-name depth bound")
     p.add_argument("--steps", type=int, default=1_000_000, help="state budget")
@@ -194,12 +187,6 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-havoc-memo", action="store_true", help="disable leaked-value memoization")
 
 
-def _add_report_flags(p: argparse.ArgumentParser) -> None:
-    _add_analysis_flags(p)
-    p.add_argument("--mode", choices=(ABSTRACT, CONCRETE), default=ABSTRACT)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scv", description="soft contract verifier")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -207,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="statically verify a program against unknown contexts")
     p_verify.add_argument("path")
     p_verify.add_argument("--trace", default=None, help="write a state-dump stream to FILE")
-    _add_report_flags(p_verify)
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    _add_analysis_flags(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_run = sub.add_parser("run", help="concretely execute a hole-free program")
@@ -223,12 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--size", type=int, default=16)
     _add_analysis_flags(p_fuzz)
     p_fuzz.set_defaults(fn=cmd_fuzz)
-
-    p_trace = sub.add_parser("dump-trace", help="verify while streaming visited states")
-    p_trace.add_argument("path")
-    p_trace.add_argument("--out", default="trace.jsonl")
-    _add_report_flags(p_trace)
-    p_trace.set_defaults(fn=cmd_dump_trace)
 
     return parser
 

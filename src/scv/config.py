@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-CONCRETE = "concrete"
 ABSTRACT = "abstract"
 
 SOLVER_ENV_VAR = "SCV_SOLVER"
@@ -43,7 +42,9 @@ class RunCtx:
     solver: Optional[object] = None  # feasibility.SolverClient
     toplevel: frozenset = frozenset()
     memo: Optional[object] = None  # havoc.HavocMemo
-    fresh_addrs: itertools.count = field(default_factory=itertools.count)
+    # a counter makes every allocation fresh (`run_concrete`); None keys
+    # addresses abstractly (`run_fixpoint`)
+    fresh_addrs: Optional[itertools.count] = None
 
     def fresh_addr(self, tag: str) -> tuple:
         return ("fresh", tag, next(self.fresh_addrs))

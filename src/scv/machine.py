@@ -348,7 +348,7 @@ class FRt(Frame):
     kept live instead of invalidated.
     """
 
-    __slots__ = ("x", "ys", "sym", "saved_cache", "shared")
+    __slots__ = ("x", "ys", "saved_cache", "shared")
 
 
 # --------------------------------------------------------------------------
@@ -455,7 +455,7 @@ class GlobalStores:
 def join_values(vs: frozenset, v: Value, widen_fn=None) -> tuple[frozenset, Value]:
     """Join `v` into the value set `vs`.
 
-    Without a widening hook this is plain set union (concrete mode).  With
+    Without a widening hook this is plain set union (`run_concrete`).  With
     one, the hook decides how numbers and unknowns collapse; it returns both
     the new set and the member standing for `v` inside it.
     """

@@ -384,8 +384,7 @@ def _apply_closure(
         cache = cache.remove(clo.x)
 
     pc = (clo.pc | state.pc) if shared else clo.pc
-    s_call = ap_sym(effective_sym(fnw, ctx.config.max_sym_depth), effective_sym(argw, ctx.config.max_sym_depth), ctx.config.max_sym_depth)
-    rt = FRt(clo.x, ys, s_call, state.cache, shared)
+    rt = FRt(clo.x, ys, state.cache, shared)
     kaddr = kont_alloc(clo.body, env2, ctx)
     stores.join_kont(kaddr, ((rt,) + state.frames, state.kaddr))
     return _update(
@@ -547,7 +546,8 @@ def _return(state: MachineState, rt: FRt, w: PostValue, ctx: RunCtx) -> list[Mac
     saved cache, the callee's free variables are conservatively dropped
     (they may have been mutated), everything else keeps the callee's
     current knowledge.  Entries for variables outside the caller's scope
-    are dropped entirely; only top-level ones ride along."""
+    are dropped entirely; only top-level ones ride along.  The value comes
+    back nameless: a name from the callee speaks about its own binders."""
     callee = state.cache
     saved = rt.saved_cache
     out = {}
@@ -565,5 +565,4 @@ def _return(state: MachineState, rt: FRt, w: PostValue, ctx: RunCtx) -> list[Mac
             cv = callee.get(y)
             if cv is not None:
                 out[y] = cv
-    sym = None if w.sym is None else _truncate(rt.sym, ctx)
-    return [_update(state, control=CVal(PostValue(w.value, sym)), cache=Cache(out))]
+    return [_update(state, control=CVal(PostValue(w.value, None)), cache=Cache(out))]

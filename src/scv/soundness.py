@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .abstraction import run_concrete, run_fixpoint
-from .config import ABSTRACT, Config
+from .config import Config
 from .primitives import surface_prims
 from .syntax import (
     App,
@@ -270,12 +270,12 @@ def differential_check(
     trials: int,
     rng: random.Random,
     config: Optional[Config] = None,
-    step_cap: int = 50_000,
 ) -> DifferentialReport:
     """Run the holed program symbolically, then concretely under `trials`
-    random instantiations.  Every transparent blame reached concretely must
-    be in the symbolic blame set; diverging instantiations are skipped."""
-    config = config or Config(mode=ABSTRACT, step_budget=300_000)
+    random instantiations, each within `config.step_budget`.  Every
+    transparent blame reached concretely must be in the symbolic blame set;
+    instantiations that exhaust the budget are skipped."""
+    config = config or Config(step_budget=300_000)
     core = alpha_rename(desugar(program))
     result = run_fixpoint(core, config)
     blames = result.blame_pairs()
@@ -286,7 +286,7 @@ def differential_check(
         report.trials += 1
         inst = instantiate_program(program, rng)
         inst_core = alpha_rename(desugar(inst))
-        outcome = run_concrete(inst_core, max_steps=step_cap)
+        outcome = run_concrete(inst_core, config)
         if outcome.kind == "timeout":
             report.skipped += 1
             continue

@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import pytest
+
 from conftest import compile_text, corpus_text, fresh_config
 from reference_eval import BlameSignal, OutOfFuel, evaluate
 from scv.abstraction import alloc, kont_alloc, run_concrete, run_fixpoint, widen
-from scv.config import ABSTRACT, CONCRETE, Config, RunCtx
+from scv.config import ABSTRACT, Config, RunCtx
 from scv.machine import Env, VClo, VNum, VOpq, VPrim
 from scv.primitives import BASE_VOCAB, satisfies
 from scv.soundness import generate_hole_program
@@ -19,7 +21,7 @@ def test_abstract_alloc_deterministic():
 
 
 def test_concrete_alloc_fresh():
-    ctx = RunCtx(config=Config(mode=CONCRETE))
+    ctx = RunCtx(config=Config(), fresh_addrs=itertools.count())
     assert alloc("z", frozenset(), ctx) != alloc("z", frozenset(), ctx)
 
 
@@ -114,7 +116,7 @@ def test_abstract_covers_concrete_blames_on_random_programs():
     for _ in range(60):
         program = generate_hole_program(rng, size=12, holes=False)
         core = alpha_rename(desugar(program))
-        concrete = run_concrete(core, max_steps=40_000)
+        concrete = run_concrete(core, Config(step_budget=40_000))
         if concrete.kind == "timeout":
             continue
         abstract = run_fixpoint(core, fresh_config(no_solver=True, step_budget=300_000))
@@ -139,15 +141,29 @@ def test_sym_truncation_is_sound_on_corpus():
         assert deep.blame_pairs() <= shallow.blame_pairs(), name
 
 
-def test_concrete_mode_finds_bugs_without_abstraction():
-    """Fresh-allocation exploration is plain bug-finding: no widening, no
-    termination guarantee, but reachable blames surface."""
+def test_escaped_divider_blamed_though_closed_run_returns():
+    """The division by the decremented counter fails only once a context
+    calls `f`: verification, which lets `f` escape, blames it, while the
+    closed program never calls `f` and runs to its value."""
     text = """
 (define n 1)
 (define/contract f (->d int? _ int?)
   (λ (u) (begin (set! n (- n 1)) (/ 100 n))))
-0
+7
 """
-    core = compile_text(text, escapes=True)
-    res = run_fixpoint(core, Config(mode=CONCRETE, step_budget=40_000, no_solver=True))
+    res = run_fixpoint(compile_text(text, escapes=True), fresh_config())
     assert any(pos.startswith("/@") for pos, _ in res.blame_pairs())
+    out = run_concrete(compile_text(text))
+    assert out.kind == "value" and out.value.value == VNum(7)
+
+
+def test_run_concrete_stops_at_the_step_budget():
+    core = compile_text("(define f (λ (x) (f x))) (f 0)")
+    out = run_concrete(core, Config(step_budget=1000))
+    assert out.kind == "timeout" and out.steps == 1000
+
+
+def test_run_fixpoint_is_the_abstract_driver_only():
+    core = compile_text("(add1 1)")
+    with pytest.raises(ValueError, match="run_concrete"):
+        run_fixpoint(core, Config(mode="concrete"))

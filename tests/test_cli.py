@@ -55,6 +55,7 @@ def test_json_and_text_reports_agree():
         assert f"potential blame: {pos} (by {neg})" in text_out.stdout
     assert text_out.stdout.count("potential blame:") == len(pairs)
     assert doc["checks"] >= 1 and not doc["verified"]
+    assert doc["mode"] == "abstract"
 
 
 def test_run_value_and_blame(tmp_path):
@@ -83,9 +84,9 @@ def test_run_budget_exhaustion(tmp_path):
     assert "budget" in out.stderr
 
 
-def test_dump_trace_writes_states(tmp_path):
+def test_verify_trace_writes_states(tmp_path):
     target = tmp_path / "trace.jsonl"
-    out = run_cli("dump-trace", corpus_path("factorial.lms"), "--out", str(target))
+    out = run_cli("verify", corpus_path("factorial.lms"), "--trace", str(target))
     assert out.returncode == 0
     lines = target.read_text(encoding="utf-8").splitlines()
     assert len(lines) > 50
@@ -114,6 +115,7 @@ def test_counterexample_text_round_trips():
 
     from scv.abstraction import run_concrete
     from scv.cli import program_to_text
+    from scv.config import Config
     from scv.machine import VNum
     from scv.soundness import generate_hole_program, instantiate_program
     from scv.syntax import alpha_rename, desugar, parse
@@ -126,8 +128,8 @@ def test_counterexample_text_round_trips():
             reparsed = parse(program_to_text(program))
         except Exception as ex:  # printing must always reparse
             raise AssertionError(program_to_text(program)) from ex
-        a = run_concrete(alpha_rename(desugar(program)), max_steps=30_000)
-        b = run_concrete(alpha_rename(desugar(reparsed)), max_steps=30_000)
+        a = run_concrete(alpha_rename(desugar(program)), Config(step_budget=30_000))
+        b = run_concrete(alpha_rename(desugar(reparsed)), Config(step_budget=30_000))
         if a.kind == "timeout" or b.kind == "timeout":
             continue
         compared += 1
@@ -149,7 +151,7 @@ def test_internal_predicate_in_source_exits_two(tmp_path):
 
 @pytest.mark.parametrize("command", [
     ["verify", corpus_path("micro-flat.lms")],
-    ["dump-trace", corpus_path("micro-flat.lms"), "--out", "trace.jsonl"],
+    ["verify", corpus_path("micro-flat.lms"), "--trace", "trace.jsonl"],
     ["fuzz", "--programs", "2", "--trials", "1"],
 ])
 def test_unknown_solver_name_exits_two(command, tmp_path, monkeypatch, capsys):
@@ -172,13 +174,21 @@ def test_unknown_solver_name_exits_two(command, tmp_path, monkeypatch, capsys):
 
 def test_run_rejects_flags_it_does_not_read(capsys):
     """`run` prints no report and opens no solver, so report and solver
-    flags are usage errors there."""
+    flags are usage errors there.  `verify` has no `--mode` either (the
+    driver decides the semantics), and `verify --trace` replaced
+    `dump-trace`."""
     from scv.cli import main
 
-    with pytest.raises(SystemExit) as ex:
-        main(["run", corpus_path("micro-flat.lms"), "--format", "json"])
-    assert ex.value.code == 2
-    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    micro = corpus_path("micro-flat.lms")
+    for argv, message in (
+        (["run", micro, "--format", "json"], "unrecognized arguments: --format json"),
+        (["verify", micro, "--mode", "abstract"], "unrecognized arguments: --mode abstract"),
+        (["dump-trace", micro, "--out", "trace.jsonl"], "invalid choice: 'dump-trace'"),
+    ):
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        assert ex.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_verify_path_imports_no_logging():

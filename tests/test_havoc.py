@@ -32,7 +32,7 @@ def fresh_stores(policy=None) -> GlobalStores:
 
 def test_leak_concrete_keeps_value():
     stores = fresh_stores()
-    leak(stores, VNum(5))  # concrete mode: plain set union
+    leak(stores, VNum(5))  # no widening hook: plain set union
     assert VNum(5) in stores.lookup(LEAK_ADDR)
     size = len(stores.lookup(LEAK_ADDR))
     leak(stores, VNum(5))

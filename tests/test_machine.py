@@ -60,7 +60,7 @@ RECORDS = [
     (FMonV, "contract", lambda: (POS, NEG, _w(), ("node", "c"))),
     (FArrDom, "rng_maker", lambda: (POS, NEG, _w(), _w(), POS, Num(4))),
     (FArrRng, "checked", lambda: (POS, NEG, _w(), _w(), POS, Num(4))),
-    (FRt, "saved_cache", lambda: ("x", frozenset({"y"}), Ref("x"), Cache({"y": _w()}), True)),
+    (FRt, "saved_cache", lambda: ("x", frozenset({"y"}), Cache({"y": _w()}), True)),
     (CEval, "expr", lambda: (Num(1), Env())),
     (CVal, "w", lambda: (_w(),)),
     (CBlame, "neg_label", lambda: (POS, NEG)),

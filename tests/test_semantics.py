@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from conftest import compile_text, fresh_config
 from reference_eval import BlameSignal, OutOfFuel, evaluate
 from scv.abstraction import run_concrete, run_fixpoint
-from scv.config import CONCRETE, Config, RunCtx
+from scv.config import Config, RunCtx
 from scv.machine import (
     CBlame,
     CEval,
@@ -191,7 +192,7 @@ def test_pc_refinement_monotone_along_branches():
 
 
 # ---------------------------------------------------------------------------
-# Concrete-mode determinism and agreement with the reference evaluator
+# Concrete-run determinism and agreement with the reference evaluator
 # ---------------------------------------------------------------------------
 
 
@@ -228,7 +229,7 @@ def test_concrete_agrees_with_reference_on_random_corpus():
     for i in range(200):
         program = generate_hole_program(rng, size=14, holes=False)
         core = alpha_rename(desugar(program))
-        ours = _as_reference_result(run_concrete(core, max_steps=60_000))
+        ours = _as_reference_result(run_concrete(core, Config(step_budget=60_000)))
         theirs = _reference_run(core, fuel=600_000)
         if ours[0] == "timeout" or theirs[0] == "timeout":
             continue
@@ -265,8 +266,7 @@ def test_cache_soundness_instrumented_concrete_runs():
 
     for name in ("factorial.lms", "countdown-divider.lms", "callback-counter.lms"):
         core = compile_text(corpus_text(name))
-        config = Config(mode=CONCRETE)
-        ctx = RunCtx(config=config)
+        ctx = RunCtx(config=Config(), fresh_addrs=itertools.count())
         state, stores = load(core)
         for _ in range(20_000):
             if state.is_terminal() or isinstance(state.control, CBlame):
