@@ -9,6 +9,12 @@ program and its holed original, generates random hole instantiations
 applications carry the unknown-context label), runs them concretely, and
 checks every transparent concrete blame against the symbolic blame set.
 
+A differential check compiles the holed program once (`Holed`: desugar and
+rename) and runs the symbolic analysis on that core.  Each trial then only
+fills the holes (`instantiate_program`): it draws the values, renames their
+binders apart from the core's, and rebuilds the core nodes above a hole,
+so every other node, with its memoized facts, is shared by all trials.
+
 The per-step preservation lemma behind the theorem is exercised
 indirectly through these end-to-end runs; the approximation order is
 checked directly only on expressions, by `approx_expr`.
@@ -36,6 +42,7 @@ from .syntax import (
     Opq,
     Prim,
     Ref,
+    Renamer,
     Set,
     SurfaceProgram,
     alpha_rename,
@@ -45,7 +52,8 @@ from .syntax import (
 __all__ = [
     "is_oexpr",
     "approx_expr",
-    "instantiate_expr",
+    "Holed",
+    "Instance",
     "instantiate_program",
     "generate_hole_program",
     "differential_check",
@@ -142,24 +150,95 @@ def _gen_instantiation(rng: random.Random, budget: int) -> Expr:
     return Lam(x, _gen_oexpr(rng, (x,), budget))
 
 
-def instantiate_expr(e: Expr, rng: random.Random, budget: int = 12) -> Expr:
-    """Replace every hole with a generated closed value."""
-    if isinstance(e, Opq):
-        return _gen_instantiation(rng, budget)
-    return e.rebuild([instantiate_expr(c, rng, budget) for c in e.children()])
+def _map_holes(program: SurfaceProgram, f) -> SurfaceProgram:
+    """`program` with every hole `h` replaced by `f(h)`, called in drawing
+    order: each definition's expression, then its contract, then main, each
+    in pre-order."""
 
+    def put(e: Expr) -> Expr:
+        return f(e) if isinstance(e, Opq) else e.rebuild([put(c) for c in e.children()])
 
-def instantiate_program(program: SurfaceProgram, rng: random.Random, budget: int = 12) -> SurfaceProgram:
     defs = tuple(
-        Definition(
-            d.name,
-            instantiate_expr(d.expr, rng, budget),
-            None if d.contract is None else instantiate_expr(d.contract, rng, budget),
-            d.pos,
-        )
+        Definition(d.name, put(d.expr), None if d.contract is None else put(d.contract), d.pos)
         for d in program.definitions
     )
-    return SurfaceProgram(defs, instantiate_expr(program.main, rng, budget))
+    return SurfaceProgram(defs, put(program.main))
+
+
+class Holed:
+    """A holed program compiled once for many instantiations.
+
+    Every hole is replaced by its own fresh `Opq` node, so `holes` lists
+    them in drawing order.  `core` is the desugared and renamed program;
+    since desugaring and renaming return `Opq` nodes unchanged, it holds
+    these same hole objects.  `binders` are the core's binder names, and
+    `above` holds the ids of the core nodes that lie above a hole: the only
+    ones an instantiation rebuilds."""
+
+    def __init__(self, program: SurfaceProgram) -> None:
+        holes: list[Opq] = []
+
+        def own(hole: Opq) -> Opq:
+            holes.append(Opq(hole.pos))
+            return holes[-1]
+
+        self.program = _map_holes(program, own)
+        self.holes = tuple(holes)
+        self.core = alpha_rename(desugar(self.program))
+        hole_ids = {id(h) for h in holes}
+        binders: set[str] = set()
+        self.above: set[int] = set()
+
+        def scan(e: Expr) -> bool:
+            if id(e) in hole_ids:
+                return True
+            if isinstance(e, (Lam, DepCon)):
+                binders.add(e.x)
+            hit = False
+            for c in e.children():
+                hit = scan(c) or hit
+            if hit:
+                self.above.add(id(e))
+            return hit
+
+        scan(self.core)
+        self.binders = frozenset(binders)
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One instantiation of a `Holed` program: the value drawn for each
+    hole, in hole order, and the core that runs."""
+
+    holed: Holed
+    draws: tuple
+    core: Expr
+
+    @property
+    def program(self) -> SurfaceProgram:
+        """The surface instantiation, built on demand."""
+        fill = dict(zip(map(id, self.holed.holes), self.draws))
+        return _map_holes(self.holed.program, lambda hole: fill[id(hole)])
+
+
+def instantiate_program(holed: Holed, rng: random.Random, budget: int = 12) -> Instance:
+    """Draw a closed value for every hole, in hole order, and put the values
+    into the compiled core, rebuilding only the nodes above a hole.  The
+    values' binders are renamed apart from the core's in the core's
+    pre-order, the order in which renaming the whole instantiation would
+    name them."""
+    draws = tuple(_gen_instantiation(rng, budget) for _ in holed.holes)
+    fill = dict(zip(map(id, holed.holes), draws))
+    renamer = Renamer(holed.binders)
+    above = holed.above
+
+    def put(e: Expr) -> Expr:
+        if id(e) in above:
+            return e.rebuild([put(c) for c in e.children()])
+        drawn = fill.get(id(e))
+        return e if drawn is None else renamer.walk(drawn, {})
+
+    return Instance(holed, draws, put(holed.core))
 
 
 # --------------------------------------------------------------------------
@@ -276,21 +355,20 @@ def differential_check(
     transparent blame reached concretely must be in the symbolic blame set;
     instantiations that exhaust the budget are skipped."""
     config = config or Config(step_budget=300_000)
-    core = alpha_rename(desugar(program))
-    result = run_fixpoint(core, config)
+    holed = Holed(program)
+    result = run_fixpoint(holed.core, config)
     blames = result.blame_pairs()
     report = DifferentialReport(program, blames, inconclusive=result.inconclusive)
     if result.inconclusive:
         return report
     for _ in range(trials):
         report.trials += 1
-        inst = instantiate_program(program, rng)
-        inst_core = alpha_rename(desugar(inst))
-        outcome = run_concrete(inst_core, config)
+        inst = instantiate_program(holed, rng)
+        outcome = run_concrete(inst.core, config)
         if outcome.kind == "timeout":
             report.skipped += 1
             continue
         if outcome.kind == "blame" and outcome.transparent:
             if (outcome.positive, outcome.negative) not in blames:
-                report.violations.append((inst, outcome.positive, outcome.negative))
+                report.violations.append((inst.program, outcome.positive, outcome.negative))
     return report

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 __all__ = [
     "Position",
@@ -54,6 +54,7 @@ __all__ = [
     "parse_expr",
     "desugar",
     "alpha_rename",
+    "Renamer",
     "free_vars",
     "print_expr",
     "expr_depth",
@@ -681,9 +682,9 @@ def desugar(program: SurfaceProgram) -> Expr:
 
     def_names = [d.name for d in program.definitions]
 
-    # Spelled out per kind, not through `rebuild`: fuzzing desugars and
-    # renames every instantiation, and routing this walk and alpha_rename's
-    # through `rebuild` made that step about 1.6x slower (CPython 3.11).
+    # Spelled out per kind, not through `rebuild`, as `Renamer.walk` is:
+    # routing both walks through `rebuild` made the front end about 1.6x
+    # slower (CPython 3.11).
     def guard_prims(e: Expr, scope: frozenset[str]) -> Expr:
         if isinstance(e, Ref):
             if e.x in scope:
@@ -789,34 +790,39 @@ def toplevel_names(e: Expr) -> frozenset[str]:
 # --------------------------------------------------------------------------
 
 
-def alpha_rename(e: Expr) -> Expr:
-    """Give every binder a globally unique, deterministic name.
+class Renamer:
+    """Gives binders globally unique, deterministic names: the original
+    identifier plus a numeric suffix, so symbolic names in reports stay
+    readable.  No name in `avoid` is ever given out, so trees renamed by
+    different renamers can share a program when each avoids the others'
+    binders."""
 
-    Names are the original identifier plus a numeric suffix, so symbolic
-    names in reports stay readable.
-    """
-    used: set[str] = set()
-    counters: dict[str, int] = {}
+    def __init__(self, avoid: Iterable[str] = ()) -> None:
+        self.used: set[str] = set(avoid)
+        self.counters: dict[str, int] = {}
 
-    def fresh(base: str) -> str:
+    def fresh(self, base: str) -> str:
         root = base.split("%")[0] or "_"
-        i = counters.get(root, 0)
+        i = self.counters.get(root, 0)
         while True:
             candidate = f"{root}{i}"
             i += 1
-            if candidate not in used:
-                counters[root] = i
-                used.add(candidate)
+            if candidate not in self.used:
+                self.counters[root] = i
+                self.used.add(candidate)
                 return candidate
 
-    # Spelled out per kind for speed, as desugar's `guard_prims` is.
-    def walk(e: Expr, env: dict[str, str]) -> Expr:
+    def walk(self, e: Expr, env: dict[str, str]) -> Expr:
+        """`e` with every binder renamed, in pre-order; `env` maps the names
+        bound around `e` to their new names."""
+        # Spelled out per kind, not through `rebuild`, for speed.
+        walk = self.walk
         if isinstance(e, (Num, Prim, Opq)):
             return e
         if isinstance(e, Ref):
             return Ref(env[e.x], e.pos) if e.x in env else e
         if isinstance(e, Lam):
-            nx = fresh(e.x)
+            nx = self.fresh(e.x)
             return Lam(nx, walk(e.body, {**env, e.x: nx}), e.pos)
         if isinstance(e, App):
             return App(walk(e.fn, env), walk(e.arg, env), e.label, e.pos)
@@ -825,13 +831,16 @@ def alpha_rename(e: Expr) -> Expr:
         if isinstance(e, Set):
             return Set(env.get(e.x, e.x), walk(e.expr, env), e.pos)
         if isinstance(e, DepCon):
-            nx = fresh(e.x)
+            nx = self.fresh(e.x)
             return DepCon(walk(e.dom, env), nx, walk(e.rng, {**env, e.x: nx}), e.pos)
         if isinstance(e, Mon):
             return Mon(e.pos_label, e.neg_label, walk(e.contract, env), walk(e.expr, env), e.pos)
         raise AssertionError(f"unexpected node {type(e).__name__}")
 
-    return walk(e, {})
+
+def alpha_rename(e: Expr) -> Expr:
+    """Give every binder of `e` a globally unique, deterministic name."""
+    return Renamer().walk(e, {})
 
 
 @_per_node("_fv")

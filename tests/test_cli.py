@@ -117,13 +117,13 @@ def test_counterexample_text_round_trips():
     from scv.cli import program_to_text
     from scv.config import Config
     from scv.machine import VNum
-    from scv.soundness import generate_hole_program, instantiate_program
+    from scv.soundness import Holed, generate_hole_program, instantiate_program
     from scv.syntax import alpha_rename, desugar, parse
 
     rng = random.Random(77)
     compared = 0
     for _ in range(60):
-        program = instantiate_program(generate_hole_program(rng, size=12), rng)
+        program = instantiate_program(Holed(generate_hole_program(rng, size=12)), rng).program
         try:
             reparsed = parse(program_to_text(program))
         except Exception as ex:  # printing must always reparse

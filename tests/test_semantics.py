@@ -25,7 +25,7 @@ from scv.machine import (
     load,
 )
 from scv.semantics import ap_sym, distr, effective_sym, lit, lookup, step
-from scv.soundness import generate_hole_program
+from scv.soundness import Holed, generate_hole_program, instantiate_program
 from scv.syntax import (
     App,
     Lam,
@@ -39,6 +39,7 @@ from scv.syntax import (
     parse,
     parse_expr,
     print_expr,
+    toplevel_names,
 )
 
 
@@ -259,14 +260,21 @@ def test_concrete_determinism_is_enforced():
 
 def test_cache_soundness_instrumented_concrete_runs():
     """In a concrete run, whenever the cache claims a precise value for a
-    variable in scope, the store cell it names holds exactly that value."""
-    import os
+    variable in scope, the store cell it names holds exactly that value.
+    The runs are the corpus files and instantiations of the criterion-2
+    population, each under the context `run_concrete` builds."""
+    from conftest import corpus_text
 
-    from conftest import CORPUS_DIR, corpus_text
-
-    for name in ("factorial.lms", "countdown-divider.lms", "callback-counter.lms"):
-        core = compile_text(corpus_text(name))
-        ctx = RunCtx(config=Config(), fresh_addrs=itertools.count())
+    cores = [
+        (name, compile_text(corpus_text(name)))
+        for name in ("factorial.lms", "countdown-divider.lms", "callback-counter.lms")
+    ]
+    rng = random.Random(20260811)
+    for i in range(100):
+        holed = Holed(generate_hole_program(rng, size=16))
+        cores += [(f"program {i}", instantiate_program(holed, rng).core) for _ in range(5)]
+    for name, core in cores:
+        ctx = RunCtx(config=Config(), toplevel=toplevel_names(core), fresh_addrs=itertools.count())
         state, stores = load(core)
         for _ in range(20_000):
             if state.is_terminal() or isinstance(state.control, CBlame):

@@ -4,17 +4,21 @@ import pytest
 
 from conftest import compile_text, corpus_text, fresh_config
 from scv.abstraction import run_concrete, run_fixpoint
+from scv.config import Config
+import scv.soundness
 from scv.soundness import (
+    Holed,
+    _gen_instantiation,
     approx_expr,
     differential_check,
     generate_hole_program,
-    instantiate_expr,
     instantiate_program,
     is_oexpr,
 )
 from scv.syntax import (
     App,
     DepCon,
+    Definition,
     If,
     Label,
     Lam,
@@ -24,12 +28,14 @@ from scv.syntax import (
     Opq,
     Ref,
     Set,
+    SurfaceProgram,
     alpha_rename,
     desugar,
     node_kinds,
     parse,
     parse_expr,
     print_expr,
+    subterms,
 )
 
 
@@ -86,11 +92,110 @@ def test_is_oexpr_accepts_grammar_and_rejects_monitors():
     assert not is_oexpr(parse_expr("(f x)"), frozenset({"f", "x"}))  # transparent label
 
 
+def _reference_instantiation(program, rng, budget=12):
+    """The whole-program pipeline that `instantiate_program` replaces: draw
+    a value per hole occurrence of the surface program, then desugar and
+    rename the result."""
+
+    def put(e):
+        if isinstance(e, Opq):
+            return _gen_instantiation(rng, budget)
+        return e.rebuild([put(c) for c in e.children()])
+
+    defs = tuple(
+        Definition(d.name, put(d.expr), None if d.contract is None else put(d.contract), d.pos)
+        for d in program.definitions
+    )
+    surface = SurfaceProgram(defs, put(program.main))
+    return surface, alpha_rename(desugar(surface))
+
+
+def _assert_matches_reference(program, rng, trials):
+    holed = Holed(program)
+    ref_rng = random.Random()
+    for _ in range(trials):
+        ref_rng.setstate(rng.getstate())
+        inst = instantiate_program(holed, rng)
+        surface, core = _reference_instantiation(program, ref_rng)
+        assert inst.core == core and repr(inst.core) == repr(core)
+        assert inst.program == surface
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [20260811, 4])
+def test_instantiation_matches_the_whole_program_pipeline(seed):
+    """Filling the compiled core gives exactly the core, surface program and
+    random-stream position of instantiating, desugaring and renaming the
+    whole program, on the criterion-2 population."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        _assert_matches_reference(generate_hole_program(rng, size=16), rng, trials=10)
+
+
+def test_one_hole_object_twice_gets_two_draws():
+    hole = Opq()
+    program = SurfaceProgram((), If(hole, hole, Num(0)))
+    holed = Holed(program)
+    assert len(holed.holes) == 2 and holed.holes[0] is not holed.holes[1]
+    _assert_matches_reference(program, random.Random(5), trials=50)
+    rng = random.Random(5)
+    draws = [instantiate_program(holed, rng).draws for _ in range(50)]
+    assert all(len(d) == 2 for d in draws)
+    assert any(a != b for a, b in draws)
+
+
+def test_instantiated_binders_are_unique():
+    """Drawn values whose binders would be renamed to a name of the
+    program's own renamed binders (h5 -> h50, h12 -> h120) get other names,
+    and the instance runs as the renamed whole program does."""
+    program = parse(
+        """
+        (define h5 (λ (h50) (if (int? h50) (+ h50 •) 0)))
+        (let ([h12 •]) (h5 (• h12)))
+        """
+    )
+    holed = Holed(program)
+    assert {"h50", "h500", "h120"} <= holed.binders
+    rng = random.Random(11)
+    renamed_apart = 0
+    for trial in range(3000):
+        inst = instantiate_program(holed, rng)
+        binders = [e.x for e in subterms(inst.core) if isinstance(e, (Lam, DepCon))]
+        assert len(binders) == len(set(binders)), print_expr(inst.core)
+        drawn = {e.x for v in inst.draws for e in subterms(v) if isinstance(e, Lam)}
+        collides = any(f"{x}0" in holed.binders for x in drawn)
+        renamed_apart += collides
+        if trial < 200 or collides:
+            config = Config(step_budget=20_000)
+            a = run_concrete(inst.core, config)
+            b = run_concrete(alpha_rename(desugar(inst.program)), config)
+            assert (a.kind, a.positive, a.negative, a.steps) == (b.kind, b.positive, b.negative, b.steps)
+    assert renamed_apart > 0
+
+
+def test_differential_check_compiles_once(monkeypatch):
+    """One desugar and one renaming per check, one instantiation and one
+    concrete run per trial: the span layout that traced fuzzing reads."""
+    calls = {}
+    for name in ("desugar", "alpha_rename", "instantiate_program", "run_concrete"):
+        original = getattr(scv.soundness, name)
+
+        def counted(*args, _name=name, _original=original, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kw)
+
+        monkeypatch.setattr(scv.soundness, name, counted)
+    program = parse("(define f (λ (x) (+ x 1))) (f •)")
+    rep = differential_check(program, trials=7, rng=random.Random(3), config=fresh_config(step_budget=300_000))
+    assert rep.trials == 7 and not rep.inconclusive
+    assert calls == {"desugar": 1, "alpha_rename": 1, "instantiate_program": 7, "run_concrete": 7}
+
+
 def test_instantiate_postconditions():
     rng = random.Random(4)
     for _ in range(150):
         program = generate_hole_program(rng, size=14)
-        inst = instantiate_program(program, rng)
+        inst = instantiate_program(Holed(program), rng).program
         for a, b in [(inst.main, program.main)] + [
             (x.expr, y.expr) for x, y in zip(inst.definitions, program.definitions)
         ]:
