@@ -30,12 +30,19 @@ escape points share one exploration of each leaked value per context.
 Re-running a leaked value is memoized on a fingerprint of everything that
 run can observe: the store slice it reaches plus the canonical context.
 The fingerprint is that data itself, compared by equality, not a digest
-of it.  It needs none: store value sets, caches and path conditions are
-immutable and hash once, and the slice shares the store's value sets by
-reference, so building and comparing it costs about one tuple hash and
-one identity test per reachable address, and two different contexts
-never compare equal.  Skipping an identical re-application is therefore a
-pure exploration filter and never changes the reported blame set.
+of it, so two different contexts never compare equal.  Skipping an
+identical re-application is therefore a pure exploration filter and never
+changes the reported blame set.
+
+The slice, and the set of variables the context could mutate, each come
+from a walk over the leak-reachable store.  Most opaque applications
+would repeat the last walk from the same root exactly, so the store keeps
+each walk's result with the value sets it read and reuses it while every
+one of them is still the set at its address (`GlobalStores.walk`).
+Checking that costs one identity test per address read, and a reused
+slice is the very object the memo holds, so comparing it is one identity
+test too.  A reuse logs the same reads as the walk, so the driver's
+dependencies do not change.
 """
 
 from __future__ import annotations
@@ -118,25 +125,38 @@ def _direct_addrs(v: Value) -> Iterable[Addr]:
     return ()
 
 
+def _reach(stores: GlobalStores, addrs: Iterable[Addr]) -> dict:
+    """Every address reachable from `addrs` through environments and wrapper
+    references, each read once through `stores.lookup`, with its values."""
+    read: dict[Addr, frozenset] = {}
+    frontier = list(addrs)
+    while frontier:
+        addr = frontier.pop()
+        if addr not in read:
+            members = read[addr] = stores.lookup(addr)
+            for member in members:
+                frontier.extend(_direct_addrs(member))
+    return read
+
+
+def _slice(stores: GlobalStores, v: Value) -> tuple:
+    read = _reach(stores, _direct_addrs(v))
+    return frozenset(read.items()), read
+
+
 def fingerprint(v: Value, stores: GlobalStores, state: Optional[MachineState] = None, toplevel: frozenset = frozenset()) -> tuple:
     """Everything that can affect applying `v` from an unknown context, as a
     key compared by equality: the store slice `v` reaches through
     environments and wrapper references, as (address, values) pairs, plus
     the applying state's live top-level cache entries, path condition and
-    transfer history.  Every address is read through `stores.lookup`, so
-    the driver revisits the caller when the slice grows."""
-    slice_: dict[Addr, frozenset] = {}
-    frontier = list(_direct_addrs(v))
-    while frontier:
-        addr = frontier.pop()
-        if addr not in slice_:
-            members = slice_[addr] = stores.lookup(addr)
-            for member in members:
-                frontier.extend(_direct_addrs(member))
+    transfer history.  The slice is a store walk from `v` (`stores.walk`),
+    so every address in it is logged as read, and the driver revisits the
+    caller when the slice grows."""
+    slice_ = stores.walk(v, _slice)
     if state is None:
-        return (frozenset(slice_.items()),)
+        return (slice_,)
     kept = frozenset((x, w) for x, w in state.cache.items() if x in toplevel)
-    return frozenset(slice_.items()), kept, state.pc, state.history
+    return slice_, kept, state.pc, state.history
 
 
 class HavocMemo:
@@ -173,21 +193,20 @@ def leak(stores: GlobalStores, v: Value) -> Value:
     return stores.join_value(LEAK_ADDR, v)
 
 
+def _assigned_in_reach(stores: GlobalStores, root: Addr) -> tuple:
+    read = _reach(stores, (root,))
+    out: set = set()
+    for members in read.values():
+        for v in members:
+            if isinstance(v, VClo):
+                out |= assigned_vars(v.body)
+    return frozenset(out), read
+
+
 def context_mutable_vars(stores: GlobalStores) -> frozenset:
     """Variables the unknown context could mutate: set! targets occurring in
     any closure body reachable from the leaked values."""
-    out: set = set()
-    seen_addrs: set = set()
-    frontier: list = list(stores.lookup(LEAK_ADDR))
-    while frontier:
-        v = frontier.pop()
-        if isinstance(v, VClo):
-            out |= assigned_vars(v.body)
-        for addr in _direct_addrs(v):
-            if addr not in seen_addrs:
-                seen_addrs.add(addr)
-                frontier.extend(stores.lookup(addr))
-    return frozenset(out)
+    return stores.walk(LEAK_ADDR, _assigned_in_reach)
 
 
 def opaque_application(

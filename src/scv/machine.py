@@ -67,10 +67,14 @@ class Record:
     controls and states.
 
     A subclass names its fields in `__slots__`, in constructor order, and
-    may give defaults for trailing fields in `_defaults`.  Records hash as
-    the tuple of their fields; the hash is computed on first use and kept,
-    since states and values live in large seen-sets and stores.  Two
-    records are equal when they have the same class and equal fields.
+    may give defaults for trailing fields in `_defaults`.  Each subclass
+    with fields gets its own positional `__init__`, generated once when the
+    class is made (as `dataclasses` does): straight-line code that sets
+    each field, then the hash slot, with `_defaults` as its defaults.  So a
+    wrong number of fields raises TypeError.  Records hash as the tuple of
+    their fields; the hash is computed on first use and kept, since states
+    and values live in large seen-sets and stores.  Two records are equal
+    when they have the same class and equal fields.
     """
 
     __slots__ = ("_hash",)
@@ -78,18 +82,14 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         fields = cls.__slots__
+        if not fields:
+            return
         if len(fields) == 1:
             get = attrgetter(*fields)
             cls._values = staticmethod(lambda r: (get(r),))
-        elif fields:
+        else:
             cls._values = attrgetter(*fields)
-
-    def __init__(self, *values) -> None:
-        if len(values) < len(self.__slots__):
-            values += self._defaults[len(values) - len(self.__slots__):]
-        for name, v in zip(self.__slots__, values, strict=True):
-            _set(self, name, v)
-        _set(self, "_hash", None)
+        cls.__init__ = _make_init(cls, fields)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("immutable")
@@ -108,6 +108,18 @@ class Record:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, self._values(self)))})"
+
+
+def _make_init(cls, fields: tuple):
+    """The positional constructor of a record class with these fields."""
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    source = f"def __init__(self, {', '.join(fields)}):{body}\n    _set(self, '_hash', None)"
+    namespace: dict = {}
+    exec(source, {"_set": _set}, namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = cls._defaults or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 # --------------------------------------------------------------------------
@@ -390,6 +402,11 @@ class MachineState(Record):
         )
 
 
+# What a missing address holds.  One shared object, so that a walk that read
+# a missing address can tell by identity that it is still missing.
+_EMPTY: frozenset = frozenset()
+
+
 class GlobalStores:
     """Driver-owned global value and continuation stores.
 
@@ -397,6 +414,13 @@ class GlobalStores:
     looks up and `changed` the addresses that grow; the fixpoint driver maps
     each changed address to the states that read it and revisits them.
     `widen` is the run's join policy for values (see `join_values`).
+
+    `walks` keeps the last result of each store walk (see `walk`), with the
+    value sets it read.  Value sets are immutable and every change to an
+    address stores a new one, so a walk whose read sets are all still, by
+    identity, the ones at their addresses would read the same store again
+    and return the same result; one whose sets changed is walked again.
+    No change needs to invalidate anything.
     """
 
     def __init__(self, widen=None) -> None:
@@ -406,6 +430,8 @@ class GlobalStores:
         # read log and change log for the driver's dependency tracking
         self.reads: Optional[set] = None
         self.changed: list = []
+        # walk root -> (result, {address: value set read})
+        self.walks: dict = {}
 
     def _note_read(self, addr) -> None:
         if self.reads is not None:
@@ -416,7 +442,28 @@ class GlobalStores:
 
     def lookup(self, addr: Addr) -> frozenset:
         self._note_read(addr)
-        return self.values.get(addr, frozenset())
+        return self.values.get(addr, _EMPTY)
+
+    def walk(self, root, fresh):
+        """The result of `fresh(self, root)`, a walk that reads the store only
+        through `lookup` and returns `(result, {address: set read})`; each
+        root has one walk function.  The last result from `root` is reused
+        while every set it read is still the set at its address, and a
+        reuse logs the same reads as the walk."""
+        entry = self.walks.get(root)
+        if entry is not None:
+            result, read = entry
+            values = self.values
+            for addr, members in read.items():
+                if values.get(addr, _EMPTY) is not members:
+                    break
+            else:
+                if self.reads is not None:
+                    self.reads.update(read)
+                return result
+        result, read = fresh(self, root)
+        self.walks[root] = (result, read)
+        return result
 
     def lookup_kont(self, kaddr: KontAddr) -> frozenset:
         self._note_read(("k", kaddr))
@@ -426,7 +473,7 @@ class GlobalStores:
         """Join one value into an address, returning the representative the
         caller should continue with (the widened stand-in when the join
         collapsed it into an abstract value)."""
-        old = self.values.get(addr, frozenset())
+        old = self.values.get(addr, _EMPTY)
         new, rep = join_values(old, value, self.widen)
         if new != old:
             self.values[addr] = new

@@ -1,4 +1,6 @@
-from conftest import compile_text, corpus_text, fresh_config
+import re
+
+from conftest import CORPUS_EXPECTED, compile_text, corpus_text, fresh_config
 from scv.abstraction import run_fixpoint, widen
 from scv.config import Config, RunCtx
 from scv.havoc import (
@@ -21,7 +23,7 @@ from scv.machine import (
     VNum,
     VOpq,
 )
-from scv.syntax import Num, Set
+from scv.syntax import Num, Set, parse
 
 
 def fresh_stores(policy=None) -> GlobalStores:
@@ -127,6 +129,98 @@ def test_context_mutable_vars_follows_reachable_bodies():
     mutator = VClo("u", Set("n", Num(1)), Env({"n": ("var", "n", frozenset())}), frozenset())
     leak(stores, mutator)
     assert "n" in context_mutable_vars(stores)
+
+
+def test_context_mutable_vars_sees_a_join_at_a_reached_address():
+    """A walk that reached an address, present or missing, is not reused
+    once a join changes that address."""
+    for present in (False, True):
+        stores = fresh_stores(widen)
+        cell = ("var", "k", frozenset())
+        if present:
+            stores.join_value(cell, VNum(1))
+        leak(stores, VClo("u", Num(0), Env({"k": cell}), frozenset()))
+        assert "m" not in context_mutable_vars(stores)
+        mutator = VClo("v", Set("m", Num(1)), Env({"m": ("var", "m", frozenset())}), frozenset())
+        stores.join_value(cell, mutator)
+        assert "m" in context_mutable_vars(stores), present
+
+
+def test_fingerprint_changes_after_a_join_at_a_reachable_address():
+    stores = fresh_stores(widen)
+    clo, (_, _, a3) = nested_closure(stores)
+    before = fingerprint(clo, stores)
+    assert fingerprint(clo, stores) == before
+    stores.join_value(a3, VClo("z", Num(0), Env(), frozenset()))
+    assert fingerprint(clo, stores) != before
+
+
+def test_a_reused_walk_logs_the_reads_of_a_fresh_walk():
+    """The driver's dependencies come from the read log, so a reused walk
+    must log every address the walk it stands for read.  A missing address
+    does not stop the reuse."""
+    stores = fresh_stores()
+    clo, addrs = nested_closure(stores)
+    missing = ("var", "d", frozenset())
+    clo = VClo(clo.x, clo.body, clo.env.set("d", missing), clo.pc)
+    addrs += (missing,)
+    leak(stores, clo)
+    for root, walk in ((clo, lambda: fingerprint(clo, stores)), (LEAK_ADDR, lambda: context_mutable_vars(stores))):
+        stores.walks.clear()
+        stores.reads = set()
+        fresh = walk()
+        fresh_reads, entry = stores.reads, stores.walks[root]
+        stores.reads = set()
+        assert walk() == fresh
+        assert stores.walks[root] is entry  # reused, not walked again
+        assert stores.reads == fresh_reads >= set(addrs)
+
+
+_TOKEN = re.compile(r"[^\s()\[\];]+")
+
+
+def copies(name: str, n: int) -> str:
+    """`n` copies of a corpus file's definitions, with the top-level names
+    of copy k suffixed by `-k`, and main `0`."""
+    text = "\n".join(line.split(";", 1)[0] for line in corpus_text(name).splitlines())
+    program = parse(text)
+    assert program.main == Num(0)
+    names = {d.name for d in program.definitions}
+    defs = text[: text.rindex("0")]
+    return "".join(
+        _TOKEN.sub(lambda m: f"{m.group()}-{k}" if m.group() in names else m.group(), defs) for k in range(n)
+    ) + "0\n"
+
+
+def test_every_reused_walk_equals_a_fresh_walk(monkeypatch, solver):
+    """Cross-check of walk reuse on whole analyses: each time a walk is
+    reused, a fresh walk from the same root gives the same result and reads
+    the same addresses."""
+    walk = GlobalStores.walk
+    reused = []
+
+    def checked(self, root, fresh):
+        entry = self.walks.get(root)
+        outer, self.reads = self.reads, set()
+        result = walk(self, root, fresh)
+        logged = self.reads
+        if entry is not None and self.walks[root] is entry:
+            self.reads = set()
+            again, _ = fresh(self, root)
+            assert again == result and self.reads == logged, root
+            reused.append(root)
+        if outer is not None:
+            outer |= logged
+        self.reads = outer
+        return result
+
+    monkeypatch.setattr(GlobalStores, "walk", checked)
+    programs = [(corpus_text(name), len(CORPUS_EXPECTED[name])) for name in sorted(CORPUS_EXPECTED)]
+    programs += [(copies("callback-counter.lms", 4), 4), (copies("divider-and-stepper.lms", 2), 2)]
+    for text, blames in programs:
+        res = run_fixpoint(compile_text(text, escapes=True), fresh_config(), solver=solver)
+        assert len(res.blame_pairs()) == blames and not res.inconclusive, text
+    assert reused
 
 
 def test_corpus_havoc_blames():

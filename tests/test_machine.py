@@ -22,6 +22,7 @@ from scv.machine import (
     LEAK_ADDR,
     MachineState,
     PostValue,
+    Record,
     VArr,
     VClo,
     VGrd,
@@ -82,6 +83,40 @@ def test_record_contract(cls, field, make):
     w = _w()
     assert FAppArg(w, POS) != FAppFn(w, POS)
     assert VOpq() == VOpq(frozenset()) and VPrim("add1").arg0 is None
+
+
+def _record_classes(cls=Record) -> list:
+    """Every record class of the machine that has fields of its own."""
+    out = []
+    for sub in cls.__subclasses__():
+        if sub.__module__ == Record.__module__ and sub.__slots__:
+            out.append(sub)
+        out.extend(_record_classes(sub))
+    return out
+
+
+def test_every_record_class_has_its_own_constructor():
+    classes = _record_classes()
+    assert set(classes) == {cls for cls, _, _ in RECORDS}
+    inits = [cls.__dict__.get("__init__") for cls in classes]
+    assert None not in inits and len(set(inits)) == len(classes)
+
+
+@pytest.mark.parametrize("cls, field, make", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
+def test_record_constructor_arity(cls, field, make):
+    """A record takes its fields positionally: too many or too few is a
+    TypeError, and trailing fields left out take their `_defaults`."""
+    values = make()
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    required = len(values) - len(cls._defaults)
+    if required:
+        with pytest.raises(TypeError):
+            cls(*values[: required - 1])
+    if cls._defaults:
+        r = cls(*values[:required])
+        assert tuple(getattr(r, f) for f in cls.__slots__[required:]) == cls._defaults
+        assert r == cls(*values[:required], *cls._defaults)
 
 
 def test_load_initial_state_shape():
