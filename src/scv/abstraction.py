@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 from .config import ABSTRACT, Config, RunCtx
@@ -28,7 +27,6 @@ from .machine import (
     HALT,
     KontAddr,
     MachineState,
-    PostValue,
     VNum,
     VOpq,
     VPrim,
@@ -37,6 +35,7 @@ from .machine import (
     state_to_dict,
 )
 from .primitives import BASE_VOCAB, satisfies
+from .record import Record
 from .syntax import Expr, print_expr, toplevel_names
 
 __all__ = [
@@ -151,38 +150,33 @@ def widen(vs: frozenset, v: Value) -> tuple[frozenset, Value]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlameInfo:
-    positive: str
-    negative: str
-    position: str
-    pc_sample: tuple
+class BlameInfo(Record):
+    """A reachable blame: the `positive` and `negative` party names, the
+    blamed `position`, and a sample path condition (strings)."""
+
+    __slots__ = ("positive", "negative", "position", "pc_sample")
 
     def key(self) -> tuple:
         return (self.positive, self.negative, self.position)
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
-    blames: tuple
-    explored_states: int
-    verified: bool
-    inconclusive: bool
-    final_values: tuple
-    solver_failures: int  # checks answered unknown because the solver failed
+class AnalysisResult(Record):
+    """The outcome of `run_fixpoint`.  `solver_failures` counts the checks
+    answered unknown because the solver failed."""
+
+    __slots__ = ("blames", "explored_states", "verified", "inconclusive", "final_values", "solver_failures")
 
     def blame_pairs(self) -> frozenset:
         return frozenset((b.positive, b.negative) for b in self.blames)
 
 
-@dataclass(frozen=True)
-class ConcreteOutcome:
-    kind: str  # "value" | "blame" | "timeout"
-    value: Optional[PostValue] = None
-    positive: Optional[str] = None
-    negative: Optional[str] = None
-    transparent: bool = False  # blame only: positive party is program code
-    steps: int = 0
+class ConcreteOutcome(Record):
+    """The outcome of `run_concrete`: `kind` is "value" (with `value`),
+    "blame" (with the party names; `transparent` when the positive party
+    is program code) or "timeout"; `steps` is the number of steps taken."""
+
+    __slots__ = ("kind", "value", "positive", "negative", "transparent", "steps")
+    _defaults = (None, None, None, False, 0)
 
 
 # --------------------------------------------------------------------------

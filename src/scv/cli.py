@@ -161,9 +161,9 @@ def cmd_fuzz(args) -> int:
         if report.inconclusive:
             inconclusive += 1
             continue
-        for inst, pos, neg in report.violations:
+        for k, (inst, pos, neg) in enumerate(report.violations):
             violations += 1
-            path = f"counterexample-{args.seed}-{i}.lms"
+            path = f"counterexample-{args.seed}-{i}-{k}.lms"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(program_to_text(inst))
             print(f"violation: concrete blame ({pos}, {neg}) not reported symbolically")

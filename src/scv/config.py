@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import os
-from dataclasses import dataclass
 from typing import Optional
+
+from .record import Record
 
 ABSTRACT = "abstract"
 
@@ -17,15 +17,13 @@ class SolverNotFound(LookupError):
     `PATH`."""
 
 
-@dataclass
-class Config:
-    mode: str = ABSTRACT
-    max_sym_depth: int = 4
-    step_budget: int = 1_000_000
-    solver_path: Optional[str] = None
-    no_solver: bool = False
-    havoc_memo: bool = True
-    trace_path: Optional[str] = None
+class Config(Record):
+    """The options of one run: `mode`, the symbolic-name depth bound, the
+    step budget, the solver (`solver_path`, or none with `no_solver`),
+    whether havoc memoizes leaked values, and the trace file."""
+
+    __slots__ = ("mode", "max_sym_depth", "step_budget", "solver_path", "no_solver", "havoc_memo", "trace_path")
+    _defaults = (ABSTRACT, 4, 1_000_000, None, False, True, None)
 
     def resolved_solver(self) -> Optional[str]:
         if self.no_solver:
@@ -33,18 +31,16 @@ class Config:
         return self.solver_path or os.environ.get(SOLVER_ENV_VAR) or "builtin"
 
 
-@dataclass
-class RunCtx:
+class RunCtx(Record):
     """Everything one verification or execution run threads through the
-    step function besides the state itself."""
+    step function besides the state itself: the `config`, the `solver`
+    (a feasibility.SolverClient), the `toplevel` names, the havoc `memo`
+    (a havoc.HavocMemo), and `fresh_addrs`: a counter makes every
+    allocation fresh (`run_concrete`); None keys addresses abstractly
+    (`run_fixpoint`)."""
 
-    config: Config
-    solver: Optional[object] = None  # feasibility.SolverClient
-    toplevel: frozenset = frozenset()
-    memo: Optional[object] = None  # havoc.HavocMemo
-    # a counter makes every allocation fresh (`run_concrete`); None keys
-    # addresses abstractly (`run_fixpoint`)
-    fresh_addrs: Optional[itertools.count] = None
+    __slots__ = ("config", "solver", "toplevel", "memo", "fresh_addrs")
+    _defaults = (None, frozenset(), None, None)
 
     def fresh_addr(self, tag: str) -> tuple:
         return ("fresh", tag, next(self.fresh_addrs))

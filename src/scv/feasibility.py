@@ -20,13 +20,13 @@ import atexit
 import select
 import shutil
 import subprocess
-from dataclasses import dataclass
 from typing import Optional
 
 from .config import SolverNotFound
 from .machine import PostValue, VOpq, VPrim
 from .minismt import MiniSolver, parse_sexprs, tokenize
 from .primitives import ONE, PRIM_TABLE, delta
+from .record import Record
 from .syntax import SYM_LABEL, App, Expr, Lam, Num, Prim, Ref, expr_depth, free_vars, print_expr
 
 __all__ = [
@@ -55,12 +55,11 @@ _IS_INT = "(_ is IntV)"
 _PROC_TEST = "(or ((_ is OpV) {t}) ((_ is LamV) {t}) ((_ is ArrV) {t}))"
 
 
-@dataclass(frozen=True)
-class Formula:
-    """Declarations plus assertions, ready to print as SMT-LIB."""
+class Formula(Record):
+    """Declarations plus assertions (tuples of strings), ready to print as
+    SMT-LIB."""
 
-    declarations: tuple[str, ...]
-    assertions: tuple[str, ...]
+    __slots__ = ("declarations", "assertions")
 
     def key(self) -> tuple:
         return (self.declarations, tuple(sorted(self.assertions)))

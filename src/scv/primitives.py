@@ -14,10 +14,10 @@ always safe to claim for arithmetic results).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .machine import Value, VArr, VClo, VGrd, VNum, VOpq, VPrim
+from .record import Record
 from .syntax import DepCon, Expr, Prim
 
 __all__ = [
@@ -290,19 +290,15 @@ def _transfer_div(a: frozenset, b: frozenset) -> frozenset:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimSpec:
-    """One primitive: its arity, concrete meaning, unknown-operand behavior,
-    and the contract its guarded binding carries (None when total)."""
+class PrimSpec(Record):
+    """One primitive: its arity, its `kind` ("predicate", "arith" or
+    "compare"), its concrete meaning (`concrete1` or `concrete2`, by
+    arity), its unknown-operand behavior (`transfer1` or `transfer2`, from
+    refinement sets to refinement sets), and the contract its guarded
+    binding carries (None when total)."""
 
-    name: str
-    arity: int
-    kind: str  # "predicate" | "arith" | "compare"
-    concrete1: Optional[Callable[[Value], Value]] = None
-    concrete2: Optional[Callable[[Value, Value], Value]] = None
-    transfer1: Optional[Callable[[frozenset], frozenset]] = None
-    transfer2: Optional[Callable[[frozenset, frozenset], frozenset]] = None
-    guard_contract: Optional[Expr] = None
+    __slots__ = ("name", "arity", "kind", "concrete1", "concrete2", "transfer1", "transfer2", "guard_contract")
+    _defaults = (None, None, None, None, None)
 
 
 def _bool(b: bool) -> Value:

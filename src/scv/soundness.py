@@ -22,24 +22,27 @@ checked directly only on expressions, by `approx_expr`.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .abstraction import run_concrete, run_fixpoint
 from .config import Config
 from .primitives import surface_prims
+from .record import Record
 from .syntax import (
     App,
     DepCon,
     Definition,
     Expr,
     If,
+    Label,
     Lam,
     Mon,
     Num,
     OPAQUE_LABEL,
     Opq,
+    Position,
     Prim,
     Ref,
     Renamer,
@@ -205,14 +208,11 @@ class Holed:
         self.binders = frozenset(binders)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """One instantiation of a `Holed` program: the value drawn for each
     hole, in hole order, and the core that runs."""
 
-    holed: Holed
-    draws: tuple
-    core: Expr
+    __slots__ = ("holed", "draws", "core")
 
     @property
     def program(self) -> SurfaceProgram:
@@ -248,9 +248,10 @@ def instantiate_program(holed: Holed, rng: random.Random, budget: int = 12) -> I
 _FLAT_CONTRACTS = ("int?", "even?", "odd?", "positive?", "proc?")
 
 
-def _gen_expr(rng: random.Random, scope: tuple, budget: int, holes: bool) -> Expr:
+def _gen_expr(rng: random.Random, scope: tuple, budget: int, holes: bool, sites) -> Expr:
     """Random surface-level expression; primitive references resolve to
-    their guarded versions during desugaring."""
+    their guarded versions during desugaring.  Application sites are
+    numbered by the counter `sites`."""
     if budget <= 1 or rng.random() < 0.3:
         roll = rng.random()
         if roll < 0.35:
@@ -265,42 +266,33 @@ def _gen_expr(rng: random.Random, scope: tuple, budget: int, holes: bool) -> Exp
     roll = rng.random()
     if roll < 0.45:
         return App(
-            _gen_expr(rng, scope, budget // 2, holes),
-            _gen_expr(rng, scope, budget // 2, holes),
-            _fresh_site(rng),
+            _gen_expr(rng, scope, budget // 2, holes, sites),
+            _gen_expr(rng, scope, budget // 2, holes, sites),
+            _site(next(sites)),
         )
     if roll < 0.65:
         return If(
-            _gen_expr(rng, scope, budget // 3, holes),
-            _gen_expr(rng, scope, budget // 3, holes),
-            _gen_expr(rng, scope, budget // 3, holes),
+            _gen_expr(rng, scope, budget // 3, holes, sites),
+            _gen_expr(rng, scope, budget // 3, holes, sites),
+            _gen_expr(rng, scope, budget // 3, holes, sites),
         )
     if roll < 0.75 and scope:
-        return Set(rng.choice(scope), _gen_expr(rng, scope, budget - 1, holes))
+        return Set(rng.choice(scope), _gen_expr(rng, scope, budget - 1, holes, sites))
     if roll < 0.83:
         x = f"v{rng.randint(0, 99)}"
-        body = _gen_expr(rng, scope + (x,), budget - 2, holes)
-        rhs = _gen_expr(rng, scope, budget // 2, holes)
-        return App(Lam(x, body), rhs, _fresh_site(rng))
+        body = _gen_expr(rng, scope + (x,), budget - 2, holes, sites)
+        rhs = _gen_expr(rng, scope, budget // 2, holes, sites)
+        return App(Lam(x, body), rhs, _site(next(sites)))
     if roll < 0.9:
-        from .syntax import Label
-
-        pos = Label(f"p{rng.randint(0, 9)}", "transparent")
-        neg = Label(f"q{rng.randint(0, 9)}", "transparent")
-        return Mon(pos, neg, _gen_contract(rng), _gen_expr(rng, scope, budget - 2, holes))
+        pos = Label(f"p{rng.randint(0, 9)}")
+        neg = Label(f"q{rng.randint(0, 9)}")
+        return Mon(pos, neg, _gen_contract(rng), _gen_expr(rng, scope, budget - 2, holes, sites))
     x = f"v{rng.randint(0, 99)}"
-    return Lam(x, _gen_expr(rng, scope + (x,), budget - 1, holes))
+    return Lam(x, _gen_expr(rng, scope + (x,), budget - 1, holes, sites))
 
 
-_site_counter = [0]
-
-
-def _fresh_site(rng: random.Random):
-    from .syntax import Label, Position
-
-    _site_counter[0] += 1
-    n = _site_counter[0]
-    return Label(f"gen@{n}", "transparent", Position(900 + n // 80, n % 80))
+def _site(n: int) -> Label:
+    return Label(f"gen@{n}", pos=Position(900 + n // 80, n % 80))
 
 
 def _gen_contract(rng: random.Random) -> Expr:
@@ -311,18 +303,19 @@ def _gen_contract(rng: random.Random) -> Expr:
 
 def generate_hole_program(rng: random.Random, size: int = 14, holes: bool = True) -> SurfaceProgram:
     """A small random program: up to two definitions (possibly contracted)
-    plus a main expression, with holes sprinkled through transparent code."""
-    from .syntax import Position
-
+    plus a main expression, with holes sprinkled through transparent code.
+    Its application sites are numbered from 1, so equal seeds give equal
+    programs."""
+    sites = itertools.count(1)
     defs = []
     names: tuple = ()
     for i in range(rng.randint(0, 2)):
         name = f"d{i}"
-        body = Lam(f"p{i}", _gen_expr(rng, names + (f"p{i}",), size // 2, holes))
+        body = Lam(f"p{i}", _gen_expr(rng, names + (f"p{i}",), size // 2, holes, sites))
         contract = _gen_contract(rng) if rng.random() < 0.6 else None
         defs.append(Definition(name, body, contract, Position(1 + i, 1)))
         names = names + (name,)
-    main = _gen_expr(rng, names, size, holes)
+    main = _gen_expr(rng, names, size, holes, sites)
     return SurfaceProgram(tuple(defs), main)
 
 
@@ -331,14 +324,13 @@ def generate_hole_program(rng: random.Random, size: int = 14, holes: bool = True
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class DifferentialReport:
-    program: SurfaceProgram
-    symbolic_blames: frozenset
-    trials: int = 0
-    skipped: int = 0
-    inconclusive: bool = False
-    violations: list = field(default_factory=list)
+class DifferentialReport(Record):
+    """The outcome of `differential_check` on `program`: the symbolic blame
+    pairs, the trials run and skipped, and a tuple of violations, each an
+    instantiation with the concrete blame pair the symbolic run missed."""
+
+    __slots__ = ("program", "symbolic_blames", "trials", "skipped", "inconclusive", "violations")
+    _defaults = (0, 0, False, ())
 
     def ok(self) -> bool:
         return not self.violations and not self.inconclusive
@@ -358,17 +350,16 @@ def differential_check(
     holed = Holed(program)
     result = run_fixpoint(holed.core, config)
     blames = result.blame_pairs()
-    report = DifferentialReport(program, blames, inconclusive=result.inconclusive)
     if result.inconclusive:
-        return report
+        return DifferentialReport(program, blames, inconclusive=True)
+    skipped = 0
+    violations = []
     for _ in range(trials):
-        report.trials += 1
         inst = instantiate_program(holed, rng)
         outcome = run_concrete(inst.core, config)
         if outcome.kind == "timeout":
-            report.skipped += 1
-            continue
-        if outcome.kind == "blame" and outcome.transparent:
+            skipped += 1
+        elif outcome.kind == "blame" and outcome.transparent:
             if (outcome.positive, outcome.negative) not in blames:
-                report.violations.append((inst.program, outcome.positive, outcome.negative))
-    return report
+                violations.append((inst.program, outcome.positive, outcome.negative))
+    return DifferentialReport(program, blames, trials, skipped, False, tuple(violations))

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator
+
+from .record import Record
 
 __all__ = [
     "Position",
@@ -74,10 +75,8 @@ class DesugarError(Exception):
     """Well-formed text that violates binding or program structure rules."""
 
 
-@dataclass(frozen=True)
-class Position:
-    line: int
-    col: int
+class Position(Record):
+    __slots__ = ("line", "col")
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
@@ -90,13 +89,13 @@ OPAQUE_KIND = "opaque-sentinel"
 LANGUAGE_KIND = "language-sentinel"
 
 
-@dataclass(frozen=True)
-class Label:
-    """Blame party.  Equality ignores the source position."""
+class Label(Record):
+    """Blame party `name` of kind `kind`, written at `pos`.  Equality and
+    hash ignore the position."""
 
-    name: str
-    kind: str = TRANSPARENT
-    pos: Position = field(default=NO_POS, compare=False)
+    __slots__ = ("name", "kind", "pos")
+    _defaults = (TRANSPARENT, NO_POS)
+    _values = operator.attrgetter("name", "kind")
 
     def is_transparent(self) -> bool:
         return self.kind == TRANSPARENT
@@ -352,12 +351,11 @@ _HOLE_NAMES = ("•", "hole")
 _RESERVED_LABELS = {"•ctx", "Λ", "•"}
 
 
-@dataclass(frozen=True)
-class SExpr:
-    """Either an atom (string) or a list of S-expressions, with a position."""
+class SExpr(Record):
+    """Either an atom (a string `value`) or a list of S-expressions (a tuple
+    `value`), with a position."""
 
-    value: Union[str, tuple]
-    pos: Position
+    __slots__ = ("value", "pos")
 
     def is_atom(self) -> bool:
         return isinstance(self.value, str)
@@ -608,18 +606,17 @@ _FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    expr: Expr
-    contract: Optional[Expr]
-    pos: Position
+class Definition(Record):
+    """`(define name expr)`, or `(define/contract name contract expr)` when
+    `contract` is not None."""
+
+    __slots__ = ("name", "expr", "contract", "pos")
 
 
-@dataclass(frozen=True)
-class SurfaceProgram:
-    definitions: tuple[Definition, ...]
-    main: Expr
+class SurfaceProgram(Record):
+    """A tuple of `Definition`s and the main expression."""
+
+    __slots__ = ("definitions", "main")
 
 
 def parse(text: str) -> SurfaceProgram:

@@ -193,10 +193,11 @@ def test_run_rejects_flags_it_does_not_read(capsys):
 
 def test_verify_path_imports_no_logging():
     """Import-graph guard: the modules a verify run loads must not pull in
-    `logging` or `hashlib` (start-up time is most of a `scv verify` call)."""
+    `logging`, `hashlib`, `dataclasses` or `inspect` (start-up time is most
+    of a `scv verify` call)."""
     probe = (
         "import sys, scv.cli, scv.semantics, scv.feasibility; "
-        "print([m for m in ('logging', 'hashlib') if m in sys.modules])"
+        "print([m for m in ('logging', 'hashlib', 'dataclasses', 'inspect') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -207,3 +208,26 @@ def test_verify_path_imports_no_logging():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_fuzz_writes_each_counterexample_to_its_own_file(tmp_path, monkeypatch, capsys):
+    """Two violations in one program give two files, each holding its own
+    instantiation."""
+    import scv.cli
+    from scv.soundness import DifferentialReport
+    from scv.syntax import parse
+
+    texts = ["(define f 1)\n(f 2)\n", "(define g (λ (x) x))\n(g 3)\n"]
+
+    def two_violations(program, trials, rng, config):
+        found = tuple((parse(t), "f", "•ctx") for t in texts)
+        return DifferentialReport(program, frozenset(), trials, 0, False, found)
+
+    monkeypatch.setattr(scv.cli, "differential_check", two_violations)
+    monkeypatch.chdir(tmp_path)
+    assert scv.cli.main(["fuzz", "--programs", "1", "--trials", "1", "--seed", "5"]) == 1
+    paths = sorted(tmp_path.glob("counterexample-*.lms"))
+    assert [p.name for p in paths] == ["counterexample-5-0-0.lms", "counterexample-5-0-1.lms"]
+    assert [p.read_text(encoding="utf-8") for p in paths] == [scv.cli.program_to_text(parse(t)) for t in texts]
+    out = capsys.readouterr().out
+    assert all(f"written to {p.name}" in out for p in paths) and "violations=2" in out

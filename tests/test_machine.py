@@ -1,6 +1,8 @@
 import pytest
 
-from scv.abstraction import widen
+from scv.abstraction import AnalysisResult, BlameInfo, ConcreteOutcome, widen
+from scv.config import Config, RunCtx
+from scv.feasibility import Formula
 from scv.machine import (
     Cache,
     CBlame,
@@ -33,7 +35,9 @@ from scv.machine import (
     load,
     state_to_dict,
 )
-from scv.syntax import Label, Num, Opq, Ref, parse_expr
+from scv.primitives import PrimSpec
+from scv.soundness import DifferentialReport, Instance
+from scv.syntax import Definition, Label, Num, Opq, Position, Ref, SExpr, SurfaceProgram, parse_expr
 
 POS, NEG = Label("f"), Label("g")
 
@@ -42,8 +46,8 @@ def _w():
     return PostValue(VNum(1), Ref("x"))
 
 
-# One instance of each machine record: its class, one field name, and a
-# factory for its full field tuple (each call builds fresh, equal objects).
+# One instance of each record class in scv: its class, one field name, and
+# a factory for its full field tuple (each call builds fresh, equal objects).
 RECORDS = [
     (VNum, "n", lambda: (1,)),
     (VPrim, "op", lambda: ("add", VNum(1))),
@@ -66,16 +70,36 @@ RECORDS = [
     (CVal, "w", lambda: (_w(),)),
     (CBlame, "neg_label", lambda: (POS, NEG)),
     (MachineState, "frames", lambda: (CVal(_w()), Cache(), frozenset(), (FAppFn(_w(), POS),), HALT, frozenset())),
+    (Position, "col", lambda: (3, 4)),
+    (Label, "pos", lambda: ("f", "opaque-sentinel", Position(3, 4))),
+    (SExpr, "value", lambda: (("define", "x"), Position(1, 1))),
+    (Definition, "contract", lambda: ("d", Num(1), None, Position(2, 1))),
+    (SurfaceProgram, "main", lambda: ((Definition("d", Num(1), None, Position(2, 1)),), Ref("d"))),
+    (Config, "step_budget", lambda: ("abstract", 2, 500, "builtin", False, False, "trace.jsonl")),
+    (RunCtx, "toplevel", lambda: (Config(), None, frozenset({"d"}), None, None)),
+    (BlameInfo, "position", lambda: ("f", "•ctx", "3:4", ("(int? x)",))),
+    (AnalysisResult, "verified", lambda: ((), 12, True, False, (VNum(1),), 0)),
+    (ConcreteOutcome, "steps", lambda: ("blame", None, "f", "g", True, 9)),
+    (Formula, "assertions", lambda: (("x0",), ("(is-IntV x0)",))),
+    (PrimSpec, "arity", lambda: ("abs", 1, "arith", abs, None, None, None, None)),
+    (Instance, "draws", lambda: (None, (Num(1),), Num(1))),
+    (DifferentialReport, "violations", lambda: (SurfaceProgram((), Num(1)), frozenset({("f", "g")}), 3, 1, False, ())),
 ]
+
+
+def _compared(cls, values: tuple) -> tuple:
+    """The fields a record compares and hashes on: all of them, except that
+    a Label ignores its position."""
+    return values[:2] if cls is Label else values
 
 
 @pytest.mark.parametrize("cls, field, make", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
 def test_record_contract(cls, field, make):
-    """Records hash as their field tuple (so every set iterates in the same
-    order whatever the record implementation), compare by class and fields,
-    and are immutable."""
+    """Records hash as the tuple of the fields they compare (so every set
+    iterates in the same order whatever the record implementation), compare
+    by class and fields, and are immutable."""
     r = cls(*make())
-    assert hash(r) == hash(make())
+    assert hash(r) == hash(_compared(cls, make()))
     copy = cls(*make())
     assert copy is not r and copy == r and hash(copy) == hash(r)
     with pytest.raises(AttributeError):
@@ -85,11 +109,26 @@ def test_record_contract(cls, field, make):
     assert VOpq() == VOpq(frozenset()) and VPrim("add1").arg0 is None
 
 
+@pytest.mark.parametrize(
+    "record, key, same, other",
+    [
+        (Label("f", "transparent", Position(3, 4)), ("f", "transparent"), Label("f"), Label("f", "opaque-sentinel", Position(3, 4))),
+        (Label("•ctx", "opaque-sentinel"), ("•ctx", "opaque-sentinel"), Label("•ctx", "opaque-sentinel", Position(1, 1)), Label("g", "opaque-sentinel")),
+        (Position(3, 4), (3, 4), Position(3, 4), Position(4, 3)),
+    ],
+    ids=["Label", "Label-default-pos", "Position"],
+)
+def test_record_hash_pins(record, key, same, other):
+    """Labels hash and compare by (name, kind), whatever their position;
+    positions by (line, col)."""
+    assert hash(record) == hash(key) == hash(same) and record == same and record != other
+
+
 def _record_classes(cls=Record) -> list:
-    """Every record class of the machine that has fields of its own."""
+    """Every record class that has fields of its own."""
     out = []
     for sub in cls.__subclasses__():
-        if sub.__module__ == Record.__module__ and sub.__slots__:
+        if sub.__slots__:
             out.append(sub)
         out.extend(_record_classes(sub))
     return out

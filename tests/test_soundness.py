@@ -255,3 +255,11 @@ def test_differential_random_sweep():
             (pos, neg, print_expr(inst.main)[:200]) for inst, pos, neg in rep.violations
         ]
         assert not rep.inconclusive
+
+
+def test_equal_seeds_generate_equal_programs():
+    """Application sites are numbered per program, so a seed names one
+    program however many were generated before it in the process."""
+    first, second = (generate_hole_program(random.Random(1)) for _ in range(2))
+    assert first == second
+    assert alpha_rename(desugar(first)) == alpha_rename(desugar(second))
