@@ -8,10 +8,12 @@ assertion that each of its members is not `Int 0`; an unsatisfiable
 translation proves the execution path infeasible.  Solver answers of
 `unknown` (or no solver at all) count as feasible, the sound direction.
 
-Every check is the same SMT-LIB v2 text, framed by push/pop.  `builtin`
-feeds it to the bundled fragment solver in this process; any other solver
-is an external process spoken to over stdin/stdout.  Verdicts are cached
-per canonical formula for the life of the client.
+A formula is built as s-expression terms (nested tuples of string atoms).
+`builtin` hands those terms to the bundled fragment solver in this
+process, with no text in between; any other solver is an external process
+that reads them printed as SMT-LIB v2 over stdin, each check framed by
+push/pop.  Verdicts are cached per canonical formula for the life of the
+client.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 
 from .config import SolverNotFound
 from .machine import PostValue, VOpq, VPrim
-from .minismt import MiniSolver, parse_sexprs, tokenize
+from .minismt import MiniSolver, parse_sexprs, print_sexpr, tokenize
 from .primitives import ONE, PRIM_TABLE, delta
 from .record import Record
 from .syntax import SYM_LABEL, App, Expr, Lam, Num, Prim, Ref, expr_depth, free_vars, print_expr
@@ -51,22 +53,29 @@ DATATYPE_DECL = (
     "(LamV (lv Int)) (ArrV (av Int)) (GrdV (gv Int)))))"
 )
 
-_IS_INT = "(_ is IntV)"
-_PROC_TEST = "(or ((_ is OpV) {t}) ((_ is LamV) {t}) ((_ is ArrV) {t}))"
+# Terms are s-expressions: a string atom or a tuple of terms.
+_ZERO = ("IntV", "0")
+_ONE = ("IntV", "1")
+
+
+def _is(ctor: str, t) -> tuple:
+    return (("_", "is", ctor), t)
 
 
 class Formula(Record):
-    """Declarations plus assertions (tuples of strings), ready to print as
-    SMT-LIB."""
+    """Declarations (constant names) plus assertions (terms), printed as
+    SMT-LIB only for a reader outside this process."""
 
     __slots__ = ("declarations", "assertions")
 
     def key(self) -> tuple:
-        return (self.declarations, tuple(sorted(self.assertions)))
+        # Equal assertion multisets sort alike; two distinct assertions with
+        # one hash may not, which costs a cache miss and never a wrong hit.
+        return (self.declarations, tuple(sorted(self.assertions, key=hash)))
 
     def lines(self) -> list[str]:
         return [f"(declare-const {d} V)" for d in self.declarations] + [
-            f"(assert {a})" for a in self.assertions
+            f"(assert {print_sexpr(a)})" for a in self.assertions
         ]
 
 
@@ -77,7 +86,7 @@ class _Translation:
     def __init__(self) -> None:
         self.consts: list[str] = []
         self._seen: set[str] = set()
-        self.memo: dict[Expr, str] = {}
+        self.memo: dict[Expr, object] = {}
         self.op_ids: dict[str, int] = {}
         self.lam_ids: dict[Expr, int] = {}
         self.fresh_n = 0
@@ -99,23 +108,49 @@ class _Translation:
         return self.lam_ids.setdefault(lam, len(self.lam_ids) + 1)
 
 
-def _int_term(n: int) -> str:
-    return f"(IntV {n})" if n >= 0 else f"(IntV (- {-n}))"
+def _int_term(n: int) -> tuple:
+    return ("IntV", str(n)) if n >= 0 else ("IntV", ("-", str(-n)))
 
 
-def _bool_term(cond: str) -> str:
-    return f"(ite {cond} (IntV 1) (IntV 0))"
+def _bool_term(cond) -> tuple:
+    return ("ite", cond, _ONE, _ZERO)
 
 
-_ARITH = {"+": "+", "-": "-", "*": "*"}
-_CMP = {"=": "=", "<": "<", "<=": "<="}
+def _proc_test(t) -> tuple:
+    return ("or", _is("OpV", t), _is("LamV", t), _is("ArrV", t))
 
 
-def translate_expr(e: Expr, ctx: Optional[_Translation] = None) -> tuple[str, _Translation]:
+def _parity(t, r: str) -> tuple:
+    return _bool_term(("and", _is("IntV", t), ("=", ("mod", ("iv", t), "2"), r)))
+
+
+def _step(op: str, t) -> tuple:
+    return ("ite", _is("IntV", t), ("IntV", (op, ("iv", t), "1")), _ZERO)
+
+
+_UNARY = {
+    "int?": lambda t: _bool_term(_is("IntV", t)),
+    "proc?": lambda t: _bool_term(_proc_test(t)),
+    "nonproc?": lambda t: _bool_term(("not", _proc_test(t))),
+    "zero?": lambda t: _bool_term(("=", t, _ZERO)),
+    "nonzero?": lambda t: _bool_term(("not", ("=", t, _ZERO))),
+    "even?": lambda t: _parity(t, "0"),
+    "odd?": lambda t: _parity(t, "1"),
+    "positive?": lambda t: _bool_term(("and", _is("IntV", t), (">", ("iv", t), "0"))),
+    "flat-contract?": lambda t: _bool_term(("or", _is("OpV", t), _is("LamV", t))),
+    "dep-contract?": lambda t: _bool_term(_is("GrdV", t)),
+    "add1": lambda t: _step("+", t),
+    "sub1": lambda t: _step("-", t),
+}
+_ARITH = ("+", "-", "*")
+_CMP = ("=", "<", "<=")
+
+
+def translate_expr(e: Expr, ctx: Optional[_Translation] = None) -> tuple[object, _Translation]:
     """Translate one symbolic-name expression into a term of sort V."""
     ctx = ctx or _Translation()
 
-    def go(e: Expr) -> str:
+    def go(e: Expr):
         hit = ctx.memo.get(e)
         if hit is not None:
             return hit
@@ -123,13 +158,13 @@ def translate_expr(e: Expr, ctx: Optional[_Translation] = None) -> tuple[str, _T
         ctx.memo[e] = term
         return term
 
-    def build(e: Expr) -> str:
+    def build(e: Expr):
         if isinstance(e, Num):
             return _int_term(e.n)
         if isinstance(e, Prim):
-            return f"(OpV {ctx.op_id(e.op)})"
+            return ("OpV", str(ctx.op_id(e.op)))
         if isinstance(e, Lam):
-            return f"(LamV {ctx.lam_id(e)})"
+            return ("LamV", str(ctx.lam_id(e)))
         if isinstance(e, Ref):
             return ctx.declare(f"v!{e.x}")
         if isinstance(e, App):
@@ -137,13 +172,15 @@ def translate_expr(e: Expr, ctx: Optional[_Translation] = None) -> tuple[str, _T
         # holes, monitors, contracts: existentialize
         return ctx.fresh()
 
-    def build_app(e: App) -> str:
+    def build_app(e: App):
         fn, arg = e.fn, e.arg
         # unary primitive application
         if isinstance(fn, Prim):
             spec = PRIM_TABLE.get(fn.op)
             if spec is not None and spec.arity == 1:
-                return unary(fn.op, go(arg))
+                t = go(arg)
+                unary = _UNARY.get(fn.op)
+                return unary(t) if unary is not None else ctx.fresh()
             return ctx.fresh()
         # curried binary primitive application
         if isinstance(fn, App) and isinstance(fn.fn, Prim):
@@ -152,39 +189,12 @@ def translate_expr(e: Expr, ctx: Optional[_Translation] = None) -> tuple[str, _T
                 return binary(fn.fn.op, go(fn.arg), go(arg))
         return ctx.fresh()
 
-    def unary(op: str, t: str) -> str:
-        if op == "int?":
-            return _bool_term(f"({_IS_INT} {t})")
-        if op == "proc?":
-            return _bool_term(_PROC_TEST.format(t=t))
-        if op == "nonproc?":
-            return _bool_term(f"(not {_PROC_TEST.format(t=t)})")
-        if op == "zero?":
-            return _bool_term(f"(= {t} (IntV 0))")
-        if op == "nonzero?":
-            return _bool_term(f"(not (= {t} (IntV 0)))")
-        if op == "even?":
-            return _bool_term(f"(and ({_IS_INT} {t}) (= (mod (iv {t}) 2) 0))")
-        if op == "odd?":
-            return _bool_term(f"(and ({_IS_INT} {t}) (= (mod (iv {t}) 2) 1))")
-        if op == "positive?":
-            return _bool_term(f"(and ({_IS_INT} {t}) (> (iv {t}) 0))")
-        if op == "flat-contract?":
-            return _bool_term(f"(or ((_ is OpV) {t}) ((_ is LamV) {t}))")
-        if op == "dep-contract?":
-            return _bool_term(f"((_ is GrdV) {t})")
-        if op == "add1":
-            return f"(ite ({_IS_INT} {t}) (IntV (+ (iv {t}) 1)) (IntV 0))"
-        if op == "sub1":
-            return f"(ite ({_IS_INT} {t}) (IntV (- (iv {t}) 1)) (IntV 0))"
-        return ctx.fresh()
-
-    def binary(op: str, a: str, b: str) -> str:
-        both_int = f"(and ({_IS_INT} {a}) ({_IS_INT} {b}))"
+    def binary(op: str, a, b):
+        both_int = ("and", _is("IntV", a), _is("IntV", b))
         if op in _ARITH:
-            return f"(ite {both_int} (IntV ({_ARITH[op]} (iv {a}) (iv {b}))) (IntV 0))"
+            return ("ite", both_int, ("IntV", (op, ("iv", a), ("iv", b))), _ZERO)
         if op in _CMP:
-            return _bool_term(f"(and {both_int} ({_CMP[op]} (iv {a}) (iv {b})))")
+            return _bool_term(("and", both_int, (op, ("iv", a), ("iv", b))))
         # division and anything else: existentialize the result
         return ctx.fresh()
 
@@ -197,7 +207,7 @@ def translate_pc(pc: frozenset) -> Formula:
     assertions = []
     for e in sorted(pc, key=print_expr):
         term, _ = translate_expr(e, ctx)
-        assertions.append(f"(not (= {term} (IntV 0)))")
+        assertions.append(("not", ("=", term, _ZERO)))
     return Formula(tuple(ctx.consts), tuple(assertions))
 
 
@@ -216,11 +226,10 @@ def _solver_argv(path: str) -> list[str]:
 
 
 class SolverClient:
-    """One solver per run, queried with SMT-LIB text with push/pop around
-    every check.  `builtin` is the bundled `MiniSolver`, run in this
-    process; any other path names an external solver binary, run as one
-    child process.  Failures degrade to `unknown` verdicts, and `failures`
-    counts the checks answered that way."""
+    """One solver per run, with push/pop around every check.  `builtin` is
+    the bundled `MiniSolver`, run in this process; any other path names an
+    external solver binary, run as one child process.  Failures degrade to
+    `unknown` verdicts, and `failures` counts the checks answered that way."""
 
     def __init__(self, path: str, timeout: float = 10.0):
         self.path = path
@@ -304,24 +313,25 @@ class SolverClient:
             return self._mark_dead()
 
     def _decide(self, formula: Formula) -> str:
-        """The bundled solver's verdict on the text an external solver
-        would read.  Only declarations and assertions are run, so the query
-        cannot disturb the base frame; any failure is counted and answers
-        `unknown`, and the check's frame is always popped."""
+        """The bundled solver's verdict on the formula's terms, the ones an
+        external solver reads printed.  Each check runs one declaration per
+        constant and one assertion per term in a frame of its own, so a
+        query cannot run any other command or disturb the base frame; any
+        failure is counted and answers `unknown`, and the frame is always
+        popped."""
         solver = self._mini
-        solver.execute(["push", "1"])
+        solver.execute(("push", "1"))
         try:
-            for form in parse_sexprs(tokenize("\n".join(formula.lines()))):
-                if not (isinstance(form, list) and form and form[0] in ("declare-const", "assert")):
-                    self.failures += 1
-                    return UNKNOWN
-                solver.execute(form)
+            for d in formula.declarations:
+                solver.execute(("declare-const", d, "V"))
+            for a in formula.assertions:
+                solver.execute(("assert", a))
             return solver.check_sat()
         except Exception:
             self.failures += 1
             return UNKNOWN
         finally:
-            solver.execute(["pop", "1"])
+            solver.execute(("pop", "1"))
 
     def close(self) -> None:
         if self.proc is not None and self.proc.poll() is None:

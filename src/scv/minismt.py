@@ -1,12 +1,14 @@
 """A small SMT-LIB v2 solver for one datatype plus linear integer arithmetic.
 
 This is the default back end, `builtin`: `feasibility.SolverClient` runs it
-in the analysing process on the SMT-LIB commands it would send an external
-solver (z3, cvc4, ...).  It reads the SMT-LIB that `feasibility.translate_pc`
-emits, and no more: one declared algebraic datatype whose constructors
-each carry a single Int field, constants of that sort and Int, and
-assertions built from ite / and / or / not / = / < / <= / > / + - * /
-(mod _ 2) over them.
+in the analysing process.  Commands are s-expression terms, nested tuples
+of string atoms: the client hands it the terms `feasibility.translate_pc`
+builds, and `parse_sexprs` reads the same shape from SMT-LIB text, which
+`print_sexpr` writes for an external solver (z3, cvc4, ...).  It decides
+that fragment and no more: one declared algebraic datatype whose
+constructors each carry a single Int field, constants of that sort and
+Int, and assertions built from ite / and / or / not / = / < / <= / > /
++ - * / (mod _ 2) over them.
 
 Decision method: a depth-first search picks one datatype constant's
 constructor at a time and translates each assertion as soon as all of its
@@ -17,16 +19,20 @@ a full assignment the formula is lifted to linear atoms and searched
 depth-first over its disjunctions; before each split the atoms collected so
 far are checked, and an infeasible prefix cuts the branch (DPLL(T)'s early
 theory check, Nieuwenhuis, Oliveras and Tinelli, JACM 2006).  A conjunction
-of atoms is decided by exact-fraction Fourier-Motzkin elimination after
-substituting equalities, with strict comparisons tightened to non-strict
-over the integers first.  Parity congruences are checked for direct
-contradictions.  Anything outside the fragment degrades to `unknown`, never
-to a wrong `unsat`: an `unsat` answer is always a real one.
+of atoms is decided by Fourier-Motzkin elimination after substituting
+equalities, with strict comparisons tightened to non-strict over the
+integers first.  Both steps stay in integer arithmetic: a substitution
+multiplies through by the eliminated coefficient's magnitude and an
+elimination combines two constraints with positive integer multipliers,
+so every constraint is a positive multiple of its rational counterpart
+and a contradiction is exact.  No constraint is rounded.  Parity
+congruences are checked for direct contradictions.  Anything outside the
+fragment degrades to `unknown`, never to a wrong `unsat`: an `unsat` answer
+is always a real one.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 __all__ = ["MiniSolver"]
@@ -64,6 +70,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def parse_sexprs(tokens: list[str]) -> list:
+    """The terms of a token list: an atom is its string, a list a tuple."""
     pos = 0
 
     def rec():
@@ -75,7 +82,7 @@ def parse_sexprs(tokens: list[str]) -> list:
             while tokens[pos] != ")":
                 items.append(rec())
             pos += 1
-            return items
+            return tuple(items)
         if tok == ")":
             raise ValueError("unbalanced ')'")
         return tok
@@ -86,13 +93,22 @@ def parse_sexprs(tokens: list[str]) -> list:
     return forms
 
 
+def print_sexpr(term) -> str:
+    """SMT-LIB text of a term; `parse_sexprs(tokenize(...))` reads it back."""
+    if isinstance(term, str):
+        return term
+    return "(" + " ".join(map(print_sexpr, term)) + ")"
+
+
 def _symbols(form, out: set) -> set:
     """Every atom of an s-expression, added to `out`."""
-    if isinstance(form, list):
-        for f in form:
-            _symbols(f, out)
-    else:
-        out.add(form)
+    stack = [form]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, tuple):
+            stack.extend(f)
+        else:
+            out.add(f)
     return out
 
 
@@ -100,29 +116,29 @@ def _symbols(form, out: set) -> set:
 # Formula representation
 # --------------------------------------------------------------------------
 
-# Linear integer expression: {var: Fraction} plus constant.
+# Linear integer expression: {var: nonzero int} plus an int constant.
 class Lin:
     __slots__ = ("coeffs", "const")
 
-    def __init__(self, coeffs: Optional[dict] = None, const: Fraction = Fraction(0)):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
-        self.const = Fraction(const)
+    def __init__(self, coeffs: Optional[dict] = None, const: int = 0):
+        self.coeffs = {k: v for k, v in coeffs.items() if v} if coeffs else {}
+        self.const = const
 
     @staticmethod
-    def of_const(c) -> "Lin":
-        return Lin({}, Fraction(c))
+    def of_const(c: int) -> "Lin":
+        return Lin(None, c)
 
     @staticmethod
     def of_var(name) -> "Lin":
-        return Lin({name: Fraction(1)})
+        return Lin({name: 1})
 
     def add(self, other: "Lin") -> "Lin":
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + v
+            coeffs[k] = coeffs.get(k, 0) + v
         return Lin(coeffs, self.const + other.const)
 
-    def scale(self, c: Fraction) -> "Lin":
+    def scale(self, c: int) -> "Lin":
         return Lin({k: v * c for k, v in self.coeffs.items()}, self.const * c)
 
     def is_const(self) -> bool:
@@ -208,7 +224,7 @@ class MiniSolver:
     # -- command dispatch --------------------------------------------------
 
     def execute(self, form) -> Optional[str]:
-        if not isinstance(form, list) or not form:
+        if not isinstance(form, tuple) or not form:
             return None
         head = form[0]
         if head == "declare-datatypes":
@@ -237,11 +253,11 @@ class MiniSolver:
         # ((V 0)) (((IntV (iv Int)) (OpV (ov Int)) ...))
         decls = form[2][0]
         for ctor_decl in decls:
-            if isinstance(ctor_decl, list) and ctor_decl:
+            if isinstance(ctor_decl, tuple) and ctor_decl:
                 name = ctor_decl[0]
                 self.ctor_list.append(name)
                 for field in ctor_decl[1:]:
-                    if isinstance(field, list) and len(field) == 2:
+                    if isinstance(field, tuple) and len(field) == 2:
                         self.ctors[field[0]] = name
 
     def fresh(self, tag: str = "k"):
@@ -365,7 +381,7 @@ class MiniSolver:
         if head in ("+", "-", "*"):
             args = [self._iterm(a, assign) for a in ast[1:]]
             if head == "-" and len(args) == 1:
-                return [(g, t.scale(Fraction(-1))) for g, t in args[0]]
+                return [(g, t.scale(-1)) for g, t in args[0]]
             combined = args[0]
             for nxt in args[1:]:
                 merged = []
@@ -377,7 +393,7 @@ class MiniSolver:
                         if head == "+":
                             merged.append((g, t1.add(t2)))
                         elif head == "-":
-                            merged.append((g, t1.add(t2.scale(Fraction(-1)))))
+                            merged.append((g, t1.add(t2.scale(-1))))
                         else:
                             if t1.is_const():
                                 merged.append((g, t2.scale(t1.const)))
@@ -392,7 +408,7 @@ class MiniSolver:
     def _is_vsort(self, ast, assign) -> bool:
         if isinstance(ast, str):
             return ast in self.consts and self.consts[ast] not in ("Int", "Bool")
-        if not isinstance(ast, list) or not ast:
+        if not isinstance(ast, tuple) or not ast:
             return False
         head = ast[0]
         if head in self.ctor_list:
@@ -415,7 +431,7 @@ class MiniSolver:
             return f_and([self._formula(a, assign) for a in ast[1:]])
         if head == "or":
             return f_or([self._formula(a, assign) for a in ast[1:]])
-        if isinstance(head, list) and len(head) == 3 and head[0] == "_" and head[1] == "is":
+        if isinstance(head, tuple) and len(head) == 3 and head[0] == "_" and head[1] == "is":
             ctor = head[2]
             alts = self._vterm(ast[1], assign)
             return f_or([g if c == ctor else FALSE for g, (c, _) in alts])
@@ -434,7 +450,7 @@ class MiniSolver:
     def _equality(self, a, b, assign):
         # (= (mod t 2) r) is the only congruence shape emitted
         for x, y in ((a, b), (b, a)):
-            if isinstance(x, list) and x and x[0] == "mod":
+            if isinstance(x, tuple) and x and x[0] == "mod":
                 if not (isinstance(x[2], str) and x[2] == "2"):
                     raise Unsupported(x)
                 rhs_alts = self._iterm(y, assign)
@@ -447,7 +463,7 @@ class MiniSolver:
                             continue
                         if not r.is_const() or r.const not in (0, 1):
                             raise Unsupported(x)
-                        out.append(f_and([g, atom("cong", t, int(r.const))]))
+                        out.append(f_and([g, atom("cong", t, r.const)]))
                 return f_or(out)
         if self._is_vsort(a, assign) or self._is_vsort(b, assign):
             out = []
@@ -458,7 +474,7 @@ class MiniSolver:
                         continue
                     if c1 != c2:
                         continue  # this alternative contributes falsity
-                    out.append(f_and([g, atom("eq", l1.add(l2.scale(Fraction(-1))))]))
+                    out.append(f_and([g, atom("eq", l1.add(l2.scale(-1)))]))
             return f_or(out)
         out = []
         for g1, l1 in self._iterm(a, assign):
@@ -466,7 +482,7 @@ class MiniSolver:
                 g = f_and([g1, g2])
                 if g == FALSE:
                     continue
-                out.append(f_and([g, atom("eq", l1.add(l2.scale(Fraction(-1))))]))
+                out.append(f_and([g, atom("eq", l1.add(l2.scale(-1)))]))
         return f_or(out)
 
     def _compare(self, op: str, a, b, assign):
@@ -478,7 +494,7 @@ class MiniSolver:
                 g = f_and([g1, g2])
                 if g == FALSE:
                     continue
-                diff = l1.add(l2.scale(Fraction(-1)))
+                diff = l1.add(l2.scale(-1))
                 if op == "<":
                     diff = diff.add(Lin.of_const(1))  # integer strictness
                 out.append(f_and([g, atom("le", diff)]))
@@ -537,10 +553,10 @@ class MiniSolver:
         if tag == "or":
             return f_and([self._negate(x) for x in f[1]])
         if tag == "le":  # not (t <= 0)  <=>  -t + 1 <= 0 over the integers
-            return atom("le", f[1].scale(Fraction(-1)).add(Lin.of_const(1)))
+            return atom("le", f[1].scale(-1).add(Lin.of_const(1)))
         if tag == "eq":  # split into < or >
             lt = atom("le", f[1].add(Lin.of_const(1)))
-            gt = atom("le", f[1].scale(Fraction(-1)).add(Lin.of_const(1)))
+            gt = atom("le", f[1].scale(-1).add(Lin.of_const(1)))
             return f_or([lt, gt])
         if tag == "cong":
             return atom("cong", f[1], 1 - f[2])
@@ -569,25 +585,25 @@ class MiniSolver:
                     continue
                 if cur is not None and cur != want:
                     return "unsat"
-                congs[key] = int(want)
+                congs[key] = want
         # substitute equalities
-        eqs = list(eqs)
         while eqs:
             eq = eqs.pop()
             if eq.is_const():
                 if eq.const != 0:
                     return "unsat"
                 continue
-            var, coeff = next(iter(sorted(eq.coeffs.items(), key=lambda kv: abs(kv[1]))))
+            var, a = min(eq.coeffs.items(), key=lambda kv: abs(kv[1]))
             rest = Lin({k: v for k, v in eq.coeffs.items() if k != var}, eq.const)
-            sol = rest.scale(Fraction(-1) / coeff)  # var = sol
+            mag, sign = abs(a), (1 if a > 0 else -1)
 
             def subst(lin: Lin) -> Lin:
+                # a*var = -rest, so |a| * lin has var replaced by -sign(a)*c*rest
                 c = lin.coeffs.get(var)
-                if c is None or c == 0:
+                if c is None:
                     return lin
-                dropped = Lin({k: v for k, v in lin.coeffs.items() if k != var}, lin.const)
-                return dropped.add(sol.scale(c))
+                dropped = Lin({k: v * mag for k, v in lin.coeffs.items() if k != var}, lin.const * mag)
+                return dropped.add(rest.scale(-sign * c))
 
             eqs = [subst(l) for l in eqs]
             les = [subst(l) for l in les]
@@ -602,7 +618,7 @@ class MiniSolver:
         for var in variables:
             lower, upper, rest = [], [], []
             for l in les:
-                c = l.coeffs.get(var, Fraction(0))
+                c = l.coeffs.get(var, 0)
                 if c > 0:
                     upper.append(l)  # c*var + rest <= 0  => var <= -rest/c
                 elif c < 0:

@@ -193,11 +193,13 @@ def test_run_rejects_flags_it_does_not_read(capsys):
 
 def test_verify_path_imports_no_logging():
     """Import-graph guard: the modules a verify run loads must not pull in
-    `logging`, `hashlib`, `dataclasses` or `inspect` (start-up time is most
-    of a `scv verify` call)."""
+    `logging`, `hashlib`, `dataclasses`, `inspect`, `fractions` or
+    `decimal` (start-up time is most of a `scv verify` call; the bundled
+    solver's arithmetic is on plain integers)."""
+    unwanted = ("logging", "hashlib", "dataclasses", "inspect", "fractions", "decimal")
     probe = (
         "import sys, scv.cli, scv.semantics, scv.feasibility; "
-        "print([m for m in ('logging', 'hashlib', 'dataclasses', 'inspect') if m in sys.modules])"
+        f"print([m for m in {unwanted!r} if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],

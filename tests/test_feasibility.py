@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from scv.feasibility import (
+    DATATYPE_DECL,
     SAT,
     UNKNOWN,
     UNSAT,
@@ -16,6 +17,7 @@ from scv.feasibility import (
     translate_pc,
 )
 from scv.machine import PostValue, VNum, VOpq
+from scv.minismt import MiniSolver, parse_sexprs, print_sexpr, tokenize
 from scv.syntax import App, Num, Prim, Ref, SYM_LABEL, parse_expr
 
 from reference_eval import _prim, _prim2
@@ -41,7 +43,8 @@ def _resolve(e):
 def test_translate_pc_bare_symbol():
     f = translate_pc(frozenset({Ref("x")}))
     assert f.declarations == ("v!x",)
-    assert f.assertions == ("(not (= v!x (IntV 0)))",)
+    assert f.assertions == (("not", ("=", "v!x", ("IntV", "0"))),)
+    assert f.lines() == ["(declare-const v!x V)", "(assert (not (= v!x (IntV 0))))"]
 
 
 def test_translate_pc_empty_is_trivially_sat(solver):
@@ -55,17 +58,24 @@ def test_zero_and_nonzero_contradict(solver):
 
 def test_translate_expr_integer():
     term, _ = translate_expr(Num(7))
-    assert term == "(IntV 7)"
+    assert term == ("IntV", "7")
+    assert print_sexpr(term) == "(IntV 7)"
     term, _ = translate_expr(Num(-3))
-    assert term == "(IntV (- 3))"
+    assert term == ("IntV", ("-", "3"))
+    assert print_sexpr(term) == "(IntV (- 3))"
 
 
 def test_translate_lambda_existentializes():
     lam = sym("(λ (x) x)")
     term, ctx = translate_expr(lam)
-    assert term.startswith("(LamV ")
+    assert term == ("LamV", "1")
     term2, _ = translate_expr(lam, ctx)
     assert term2 == term  # same literal, same id
+    f = translate_pc(frozenset({App(Prim("proc?"), lam, SYM_LABEL)}))
+    assert f.lines() == [
+        "(assert (not (= (ite (or ((_ is OpV) (LamV 1)) ((_ is LamV) (LamV 1)) "
+        "((_ is ArrV) (LamV 1))) (IntV 1) (IntV 0)) (IntV 0))))"
+    ]
 
 
 def test_translate_unknown_application_is_fresh():
@@ -118,12 +128,15 @@ def test_ground_facts_not_recorded(solver):
 def test_solver_contradiction_and_nonlinear(solver):
     from scv.feasibility import Formula
 
-    f = Formula(("v!x",), ("(= v!x (IntV 0))", "(not (= v!x (IntV 0)))"))
+    is_zero = ("=", "v!x", ("IntV", "0"))
+    f = Formula(("v!x",), (is_zero, ("not", is_zero)))
+    assert f.lines()[1:] == ["(assert (= v!x (IntV 0)))", "(assert (not (= v!x (IntV 0))))"]
     assert solver.check(f) == UNSAT
     # products of two unknowns are outside the fragment
     e = sym("(= (* x x) 2)")
     term, ctx = translate_expr(e)
-    f2 = Formula(tuple(ctx.consts), (f"(not (= {term} (IntV 0)))",))
+    f2 = Formula(tuple(ctx.consts), (("not", ("=", term, ("IntV", "0"))),))
+    assert f2.lines() == translate_pc(frozenset({e})).lines()
     assert solver.check(f2) in (UNKNOWN, SAT)
 
 
@@ -165,14 +178,18 @@ def test_builtin_solver_starts_no_process(monkeypatch):
 @pytest.mark.parametrize("failure", ["raises", "malformed", "exit"])
 def test_builtin_failed_check_answers_unknown_and_pops(monkeypatch, failure):
     """A check that fails inside the bundled solver answers unknown and
-    leaves no assertion behind for the next check."""
+    leaves no assertion behind for the next check.  A query runs only its
+    declarations and assertions: an atom whose printed text would close
+    the assertion and issue `(exit)` stays one atom, outside the fragment,
+    so it answers unknown as any unsupported term does and is no failure."""
     from scv.feasibility import Formula
-    from scv.minismt import MiniSolver
 
-    contradiction = ("(= v!x (IntV 0))", "(not (= v!x (IntV 0)))")
+    is_zero = ("=", "v!x", ("IntV", "0"))
+    contradiction = (is_zero, ("not", is_zero))
     broken = {
         "raises": Formula(("v!x",), contradiction),
-        "malformed": Formula(("v!x",), contradiction + ("(= v!x (IntV 0)",)),
+        # `=` without its second argument
+        "malformed": Formula(("v!x",), contradiction + (("=", "v!x"),)),
         "exit": Formula(("v!x",), contradiction + ("true) (exit",)),
     }[failure]
     if failure == "raises":
@@ -184,11 +201,17 @@ def test_builtin_failed_check_answers_unknown_and_pops(monkeypatch, failure):
 
         monkeypatch.setattr(MiniSolver, "check_sat", fails_once)
     client = open_solver("builtin")
+    executed = []
+    run = client._mini.execute
+    client._mini.execute = lambda form: executed.append(form[0]) or run(form)
     try:
         assert client.check(broken) == UNKNOWN
-        assert client.check(Formula(("v!x",), ("(= v!x (IntV 0))",))) == SAT
-        assert client.check(Formula(("v!y",), ("(= v!y (IntV 0))", "(not (= v!y (IntV 0)))"))) == UNSAT
-        assert client.failures == 1
+        assert set(executed) == {"push", "declare-const", "assert", "pop"}
+        assert executed[-1] == "pop"
+        assert client.check(Formula(("v!x",), (is_zero,))) == SAT
+        y_zero = ("=", "v!y", ("IntV", "0"))
+        assert client.check(Formula(("v!y",), (y_zero, ("not", y_zero)))) == UNSAT
+        assert client.failures == (0 if failure == "exit" else 1)
     finally:
         client.close()
 
@@ -378,11 +401,25 @@ def test_infeasible_path_condition_is_decided(entries):
         client.close()
 
 
+# The path-condition populations the solver is measured on: name -> (seed,
+# size, generator), each drawn from one `random.Random(seed)`.
+POPULATIONS = {
+    "criterion-4": (424242, 500, gen_linear_pc),
+    "linear-11": (11, 200, gen_linear_pc),
+    "rich-8080": (8080, 450, gen_rich_pc),
+}
+
+
+def population(name: str) -> list:
+    seed, size, gen = POPULATIONS[name]
+    rng = random.Random(seed)
+    return [translate_pc(gen(rng)[0]) for _ in range(size)]
+
+
 def test_verdicts_do_not_depend_on_query_order():
     """A verdict depends only on its query: two fresh clients checking the
     criterion-4 path conditions in opposite orders agree on every one."""
-    rng = random.Random(424242)
-    formulas = [translate_pc(gen_linear_pc(rng)[0]) for _ in range(500)]
+    formulas = population("criterion-4")
     forward, backward = open_solver("builtin"), open_solver("builtin")
     try:
         ahead = [forward.check(f) for f in formulas]
@@ -392,6 +429,54 @@ def test_verdicts_do_not_depend_on_query_order():
         backward.close()
     assert ahead == behind
     assert UNKNOWN not in ahead
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("criterion-4", {SAT: 398, UNSAT: 102, UNKNOWN: 0}),
+        ("linear-11", {SAT: 170, UNSAT: 30, UNKNOWN: 0}),
+        ("rich-8080", {SAT: 217, UNSAT: 142, UNKNOWN: 91}),
+    ],
+    ids=["criterion-4", "linear-11", "rich-8080"],
+)
+def test_verdict_counts_are_pinned(name, counts):
+    """The decision procedure neither gains nor loses a verdict on the
+    measured populations: a lost `unsat` is lost precision, a gained one
+    would need a new proof of soundness."""
+    client = open_solver("builtin")
+    try:
+        verdicts = [client.check(f) for f in population(name)]
+    finally:
+        client.close()
+    assert {v: verdicts.count(v) for v in (SAT, UNSAT, UNKNOWN)} == counts
+
+
+@pytest.mark.parametrize("name", ["criterion-4", "rich-8080"])
+def test_printed_queries_read_back_as_executed(name):
+    """`Formula.lines()` is what an external solver and the benchmark's
+    replay read.  Each line parses back to exactly the command the bundled
+    client ran, and a fresh solver fed the text gives the client's
+    verdict."""
+    client = open_solver("builtin")
+    executed = []
+    run = client._mini.execute
+    client._mini.execute = lambda form: executed.append(form) or run(form)
+    datatype = parse_sexprs(tokenize(DATATYPE_DECL))
+    try:
+        for formula in population(name):
+            executed.clear()
+            client.cache.clear()
+            verdict = client.check(formula)
+            lines = formula.lines()
+            assert [parse_sexprs(tokenize(line)) for line in lines] == [[form] for form in executed[1:-1]]
+            assert executed[0] == ("push", "1") and executed[-1] == ("pop", "1")
+            fresh = MiniSolver()
+            for form in datatype + parse_sexprs(tokenize("\n".join(lines))):
+                fresh.execute(form)
+            assert fresh.execute(("check-sat",)) == verdict, lines
+    finally:
+        client.close()
 
 
 def test_safe_div_verifies_with_builtin_solver():

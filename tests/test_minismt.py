@@ -98,3 +98,32 @@ def test_push_pop_isolate_assertions():
     for form in parse_sexprs(tokenize("(pop 1)")):
         s.execute(form)
     assert check(s, "(check-sat)") == "sat"
+
+
+def test_equality_with_a_non_unit_coefficient():
+    """2p = 4 fixes p at 2: substituting it multiplies the other
+    constraints by 2, so p <= 2 stays satisfiable and 2 < p does not."""
+    pinned = (
+        "(declare-const x V)",
+        "(assert ((_ is IntV) x))",
+        "(assert (= (* 2 (iv x)) 4))",
+    )
+    assert check(fresh_solver(), *pinned, "(assert (<= (iv x) 2))", "(check-sat)") == "sat"
+    assert check(fresh_solver(), *pinned, "(assert (< 2 (iv x)))", "(check-sat)") == "unsat"
+
+
+def test_elimination_is_not_rounded():
+    """Elimination is exact over the rationals: this system forces
+    2q = 1, which only q = 1/2 solves.  Rounding the combined constraints
+    to integer cuts would answer unsat; the solver answers sat."""
+    assert check(
+        fresh_solver(),
+        "(declare-const x V)",
+        "(declare-const y V)",
+        "(assert (and ((_ is IntV) x) ((_ is IntV) y)))",
+        "(assert (<= 0 (iv x)))",
+        "(assert (<= (iv x) 0))",
+        "(assert (<= (+ (iv x) (* 2 (iv y))) 1))",
+        "(assert (<= 1 (+ (iv x) (* 2 (iv y)))))",
+        "(check-sat)",
+    ) == "sat"
