@@ -205,10 +205,8 @@ def run_fixpoint(expr: Expr, config: Config, solver=None) -> AnalysisResult:
     # only here, and stays only for callers that still set it
     if config.mode != ABSTRACT:
         raise ValueError(f"run_fixpoint is the abstract driver, not mode {config.mode!r}; use run_concrete")
-    own_solver = False
     if solver is None:
         solver = open_solver(config.resolved_solver())
-        own_solver = solver is not None
     ctx = _make_ctx(expr, config, solver)
     failures_before = solver.failures if solver is not None else 0
 
@@ -276,8 +274,6 @@ def run_fixpoint(expr: Expr, config: Config, solver=None) -> AnalysisResult:
     finally:
         if trace is not None:
             trace.close()
-        if own_solver and solver is not None:
-            solver.close()
         # value keys are pure functions of values; a later analysis would
         # only pay for comparing its values against this one's
         havoc._KEY_CACHE.clear()

@@ -8,23 +8,18 @@ assertion that each of its members is not `Int 0`; an unsatisfiable
 translation proves the execution path infeasible.  Solver answers of
 `unknown` (or no solver at all) count as feasible, the sound direction.
 
-A formula is built as s-expression terms (nested tuples of string atoms).
-`builtin` hands those terms to the bundled fragment solver in this
-process, with no text in between; any other solver is an external process
-that reads them printed as SMT-LIB v2 over stdin, each check framed by
-push/pop.  Verdicts are cached per canonical formula for the life of the
-client.
+A formula is built as s-expression terms (nested tuples of string atoms),
+and the client hands those terms to the bundled fragment solver
+(`minismt`) in this process, with no text in between.  Verdicts are cached
+per canonical formula for the life of the client.  `Formula.lines()`
+prints a formula as SMT-LIB v2; only the benchmark's trace replay
+(perfbench) and the tests read that text.
 """
 
 from __future__ import annotations
 
-import atexit
-import select
-import shutil
-import subprocess
 from typing import Optional
 
-from .config import SolverNotFound
 from .machine import PostValue, VOpq, VPrim
 from .minismt import MiniSolver, parse_sexprs, print_sexpr, tokenize
 from .primitives import ONE, PRIM_TABLE, delta
@@ -63,8 +58,9 @@ def _is(ctor: str, t) -> tuple:
 
 
 class Formula(Record):
-    """Declarations (constant names) plus assertions (terms), printed as
-    SMT-LIB only for a reader outside this process."""
+    """Declarations (constant names) plus assertions (terms).  `lines()`
+    prints them as SMT-LIB for the benchmark's trace replay and the tests;
+    the solver reads the terms."""
 
     __slots__ = ("declarations", "assertions")
 
@@ -216,109 +212,38 @@ def translate_pc(pc: frozenset) -> Formula:
 # --------------------------------------------------------------------------
 
 
-def _solver_argv(path: str) -> list[str]:
-    base = path.rsplit("/", 1)[-1]
-    if base.startswith("z3"):
-        return [path, "-in", "-smt2"]
-    if base.startswith("cvc"):
-        return [path, "--lang", "smt2", "--incremental"]
-    return [path]
-
-
 class SolverClient:
-    """One solver per run, with push/pop around every check.  `builtin` is
-    the bundled `MiniSolver`, run in this process; any other path names an
-    external solver binary, run as one child process.  Failures degrade to
-    `unknown` verdicts, and `failures` counts the checks answered that way."""
+    """One bundled `MiniSolver` per run, in this process, with a frame of
+    its own around every check and verdicts cached per canonical formula.
+    A check that fails inside the solver answers `unknown`, and `failures`
+    counts the checks answered that way."""
 
-    def __init__(self, path: str, timeout: float = 10.0):
-        self.path = path
-        self.timeout = timeout
+    # no solver process: kept for perfbench's tracer, which reads it
+    proc = None
+
+    def __init__(self) -> None:
         self.cache: dict[tuple, str] = {}
         self.queries = 0
         self.failures = 0
-        self.proc: Optional[subprocess.Popen] = None
-        self._dead = False
-        self._mini: Optional[MiniSolver] = None
-        if path == "builtin":
-            self._mini = MiniSolver()
-            self._mini.execute(parse_sexprs(tokenize(DATATYPE_DECL))[0])
-            return
-        self._start()
-        if self.proc is not None:
-            atexit.register(self.close)
-
-    def _start(self) -> None:
-        try:
-            self.proc = subprocess.Popen(
-                _solver_argv(self.path),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                text=True,
-            )
-            self._send("(set-logic ALL)")
-            self._send(DATATYPE_DECL)
-        except OSError:
-            self.proc = None
-            self._dead = True
-
-    def _send(self, line: str) -> None:
-        assert self.proc is not None and self.proc.stdin is not None
-        self.proc.stdin.write(line + "\n")
-        self.proc.stdin.flush()
-
-    def _read_verdict(self) -> str:
-        assert self.proc is not None and self.proc.stdout is not None
-        ready, _, _ = select.select([self.proc.stdout], [], [], self.timeout)
-        if not ready:  # timed out
-            return self._mark_dead()
-        line = self.proc.stdout.readline().strip()
-        if not line:  # closed its output
-            return self._mark_dead()
-        return line if line in (SAT, UNSAT, UNKNOWN) else UNKNOWN
-
-    def _mark_dead(self) -> str:
-        """Stop using the external solver and count the check it failed."""
-        self._dead = True
-        self.failures += 1
-        return UNKNOWN
+        self._mini = MiniSolver()
+        self._mini.execute(parse_sexprs(tokenize(DATATYPE_DECL))[0])
 
     def check(self, formula: Formula) -> str:
         key = formula.key()
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        verdict = self._check_uncached(formula)
+        self.queries += 1
+        verdict = self._decide(formula)
         self.cache[key] = verdict
         return verdict
 
-    def _check_uncached(self, formula: Formula) -> str:
-        if self._mini is not None:
-            self.queries += 1
-            return self._decide(formula)
-        if self._dead or self.proc is None or self.proc.poll() is not None:
-            return self._mark_dead()
-        self.queries += 1
-        try:
-            self._send("(push 1)")
-            for line in formula.lines():
-                self._send(line)
-            self._send("(check-sat)")
-            verdict = self._read_verdict()
-            if not self._dead:
-                self._send("(pop 1)")
-            return verdict
-        except (OSError, BrokenPipeError):
-            return self._mark_dead()
-
     def _decide(self, formula: Formula) -> str:
-        """The bundled solver's verdict on the formula's terms, the ones an
-        external solver reads printed.  Each check runs one declaration per
-        constant and one assertion per term in a frame of its own, so a
-        query cannot run any other command or disturb the base frame; any
-        failure is counted and answers `unknown`, and the frame is always
-        popped."""
+        """The bundled solver's verdict on the formula's terms.  Each check
+        runs one declaration per constant and one assertion per term in a
+        frame of its own, so a query cannot run any other command or
+        disturb the base frame; any failure is counted and answers
+        `unknown`, and the frame is always popped."""
         solver = self._mini
         solver.execute(("push", "1"))
         try:
@@ -334,27 +259,18 @@ class SolverClient:
             solver.execute(("pop", "1"))
 
     def close(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            try:
-                self._send("(exit)")
-            except (OSError, BrokenPipeError, AssertionError):
-                pass
-            try:
-                self.proc.terminate()
-            except OSError:
-                pass
-        self.proc = None
-        atexit.unregister(self.close)
+        """Nothing to release; kept so that every caller ends a run the
+        same way."""
 
 
-def open_solver(name_or_path: Optional[str]) -> Optional[SolverClient]:
-    """Resolve a solver name to a running client; None means no solver.
-    Raises `SolverNotFound` for a name that names no solver."""
-    if name_or_path is None:
+def open_solver(name: Optional[str]) -> Optional[SolverClient]:
+    """A new client of the bundled solver for `builtin`; None means no
+    solver.  Any other name is a `ValueError`."""
+    if name is None:
         return None
-    if name_or_path != "builtin" and shutil.which(name_or_path) is None:
-        raise SolverNotFound(name_or_path)
-    return SolverClient(name_or_path)
+    if name != "builtin":
+        raise ValueError(f"unknown solver {name!r}: only 'builtin' is bundled")
+    return SolverClient()
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """A small SMT-LIB v2 solver for one datatype plus linear integer arithmetic.
 
-This is the default back end, `builtin`: `feasibility.SolverClient` runs it
+This is scv's one solver, `builtin`: `feasibility.SolverClient` runs it
 in the analysing process.  Commands are s-expression terms, nested tuples
 of string atoms: the client hands it the terms `feasibility.translate_pc`
-builds, and `parse_sexprs` reads the same shape from SMT-LIB text, which
-`print_sexpr` writes for an external solver (z3, cvc4, ...).  It decides
-that fragment and no more: one declared algebraic datatype whose
-constructors each carry a single Int field, constants of that sort and
-Int, and assertions built from ite / and / or / not / = / < / <= / > /
-+ - * / (mod _ 2) over them.
+builds.  `print_sexpr` writes a term as SMT-LIB text and `parse_sexprs`
+reads the same shape back; besides the client's one read of the datatype
+declaration, only the benchmark's trace replay (perfbench) and the tests
+use that text.  It decides that fragment and no more: one declared
+algebraic datatype whose constructors each carry a single Int field,
+constants of that sort and Int, and assertions built from ite / and / or /
+not / = / < / <= / > / + - * / (mod _ 2) over them.
 
 Decision method: a depth-first search picks one datatype constant's
 constructor at a time and translates each assertion as soon as all of its

@@ -149,34 +149,26 @@ def test_internal_predicate_in_source_exits_two(tmp_path):
     assert "unbound variable 'nonzero?'" in out.stderr
 
 
-@pytest.mark.parametrize("command", [
-    ["verify", corpus_path("micro-flat.lms")],
-    ["verify", corpus_path("micro-flat.lms"), "--trace", "trace.jsonl"],
-    ["fuzz", "--programs", "2", "--trials", "1"],
-])
-def test_unknown_solver_name_exits_two(command, tmp_path, monkeypatch, capsys):
-    """A solver that cannot be found is an error, not a silent --no-solver
-    run or a dead external solver, whether it is a bare name or a path and
-    whether the flag or the environment names it."""
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_unopenable_trace_file_exits_two(command, tmp_path, capsys):
+    """A `--trace` file that cannot be opened is an input error: one
+    `error:` line naming the path and exit 2, not a traceback (and, for
+    `verify`, not exit 1, which means potential blames)."""
     from scv.cli import main
-    from scv.config import SOLVER_ENV_VAR
 
-    monkeypatch.chdir(tmp_path)
-    for name in ("no-such-solver-binary", str(tmp_path / "no-such-dir" / "z3")):
-        assert main(command + ["--solver", name]) == 2
-        assert capsys.readouterr().err == f"error: solver not found: {name}\n"
-        monkeypatch.setenv(SOLVER_ENV_VAR, name)
-        assert main(command) == 2
-        assert capsys.readouterr().err == f"error: solver not found: {name}\n"
-        monkeypatch.delenv(SOLVER_ENV_VAR)
-    assert list(tmp_path.iterdir()) == []  # nothing analysed, no trace written
+    target = tmp_path / "no-such-dir" / "trace.jsonl"
+    assert main([command, corpus_path("factorial.lms"), "--trace", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(target) in lines[0]
 
 
 def test_run_rejects_flags_it_does_not_read(capsys):
     """`run` prints no report and opens no solver, so report and solver
     flags are usage errors there.  `verify` has no `--mode` either (the
-    driver decides the semantics), and `verify --trace` replaced
-    `dump-trace`."""
+    driver decides the semantics), `verify --trace` replaced `dump-trace`,
+    and no subcommand has `--solver`: the bundled solver is the only one."""
     from scv.cli import main
 
     micro = corpus_path("micro-flat.lms")
@@ -184,6 +176,8 @@ def test_run_rejects_flags_it_does_not_read(capsys):
         (["run", micro, "--format", "json"], "unrecognized arguments: --format json"),
         (["verify", micro, "--mode", "abstract"], "unrecognized arguments: --mode abstract"),
         (["dump-trace", micro, "--out", "trace.jsonl"], "invalid choice: 'dump-trace'"),
+        (["verify", micro, "--solver", "z3"], "unrecognized arguments: --solver z3"),
+        (["fuzz", "--solver", "z3"], "unrecognized arguments: --solver z3"),
     ):
         with pytest.raises(SystemExit) as ex:
             main(argv)
@@ -193,10 +187,11 @@ def test_run_rejects_flags_it_does_not_read(capsys):
 
 def test_verify_path_imports_no_logging():
     """Import-graph guard: the modules a verify run loads must not pull in
-    `logging`, `hashlib`, `dataclasses`, `inspect`, `fractions` or
-    `decimal` (start-up time is most of a `scv verify` call; the bundled
-    solver's arithmetic is on plain integers)."""
-    unwanted = ("logging", "hashlib", "dataclasses", "inspect", "fractions", "decimal")
+    `logging`, `hashlib`, `dataclasses`, `inspect`, `fractions`, `decimal`,
+    `subprocess` or `select` (start-up time is most of a `scv verify`
+    call; the bundled solver's arithmetic is on plain integers, and it
+    runs in the verifier's own process)."""
+    unwanted = ("logging", "hashlib", "dataclasses", "inspect", "fractions", "decimal", "subprocess", "select")
     probe = (
         "import sys, scv.cli, scv.semantics, scv.feasibility; "
         f"print([m for m in {unwanted!r} if m in sys.modules])"

@@ -75,7 +75,7 @@ RECORDS = [
     (SExpr, "value", lambda: (("define", "x"), Position(1, 1))),
     (Definition, "contract", lambda: ("d", Num(1), None, Position(2, 1))),
     (SurfaceProgram, "main", lambda: ((Definition("d", Num(1), None, Position(2, 1)),), Ref("d"))),
-    (Config, "step_budget", lambda: ("abstract", 2, 500, "builtin", False, False, "trace.jsonl")),
+    (Config, "step_budget", lambda: ("abstract", 2, 500, False, False, "trace.jsonl")),
     (RunCtx, "toplevel", lambda: (Config(), None, frozenset({"d"}), None, None)),
     (BlameInfo, "position", lambda: ("f", "•ctx", "3:4", ("(int? x)",))),
     (AnalysisResult, "verified", lambda: ((), 12, True, False, (VNum(1),), 0)),
