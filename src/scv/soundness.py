@@ -14,6 +14,8 @@ rename) and runs the symbolic analysis on that core.  Each trial then only
 fills the holes (`instantiate_program`): it draws the values, renames their
 binders apart from the core's, and rebuilds the core nodes above a hole,
 so every other node, with its memoized facts, is shared by all trials.
+Trials that draw the same values share one concrete run; the report still
+counts every trial.
 
 The per-step preservation lemma behind the theorem is exercised
 indirectly through these end-to-end runs; the approximation order is
@@ -345,7 +347,14 @@ def differential_check(
     """Run the holed program symbolically, then concretely under `trials`
     random instantiations, each within `config.step_budget`.  Every
     transparent blame reached concretely must be in the symbolic blame set;
-    instantiations that exhaust the budget are skipped."""
+    instantiations that exhaust the budget are skipped.
+
+    Each distinct instantiation runs once: a trial whose draws equal an
+    earlier trial's reuses that trial's outcome.  Equal draws give equal
+    cores, since renaming is deterministic, and a concrete run is a
+    deterministic function of its core.  The report still counts every
+    trial: each one counts toward `trials` and `skipped` and adds its own
+    violation."""
     config = config or Config(step_budget=300_000)
     holed = Holed(program)
     result = run_fixpoint(holed.core, config)
@@ -354,9 +363,12 @@ def differential_check(
         return DifferentialReport(program, blames, inconclusive=True)
     skipped = 0
     violations = []
+    outcomes = {}  # draws -> the concrete outcome of the first trial that drew them
     for _ in range(trials):
         inst = instantiate_program(holed, rng)
-        outcome = run_concrete(inst.core, config)
+        outcome = outcomes.get(inst.draws)
+        if outcome is None:
+            outcome = outcomes[inst.draws] = run_concrete(inst.core, config)
         if outcome.kind == "timeout":
             skipped += 1
         elif outcome.kind == "blame" and outcome.transparent:

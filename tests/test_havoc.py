@@ -1,4 +1,7 @@
+import json
 import re
+
+import pytest
 
 from conftest import CORPUS_EXPECTED, compile_text, corpus_text, fresh_config
 from scv.abstraction import run_fixpoint, widen
@@ -263,3 +266,29 @@ def test_run_fixpoint_leaves_value_key_cache_empty():
     res = run_fixpoint(core, fresh_config(no_solver=True))
     assert res.explored_states > 0
     assert not scv.havoc._KEY_CACHE
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(define n 0) (define f (λ (u) (/ 100 n))) (set! n 5)",
+        "(define n 0) (define f (λ (u) (/ 100 n))) (let ([g (λ (z) (set! n 5))]) (g 0))",
+    ],
+    ids=["top-level-set", "set-in-local-lambda"],
+)
+def test_a_detached_run_keeps_the_facts_that_keep_it_precise(tmp_path, capsys, text):
+    """The escaped divider only runs after `n` is set to 5, so `scv verify`
+    reports these programs verified.  Each is a counterexample to a rule
+    that would give a detached run fewer root cache entries: the first to
+    "keep only what the leaked value reaches, plus the names that only
+    their definition assigns"; the second to "... plus the names that no
+    `set!` inside a first-class λ assigns".  Under its rule, the runs
+    nested in a detached run inherit the restricted cache, and the
+    division is blamed."""
+    from scv.cli import main
+
+    path = tmp_path / "p.lms"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(path), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] and doc["blames"] == [] and doc["solver_failures"] == 0

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from conftest import compile_text, corpus_text, fresh_config
-from scv.abstraction import run_concrete, run_fixpoint
+from scv.abstraction import AnalysisResult, run_concrete, run_fixpoint
 from scv.config import Config
 import scv.soundness
 from scv.soundness import (
+    DifferentialReport,
     Holed,
     _gen_instantiation,
     approx_expr,
@@ -173,22 +174,104 @@ def test_instantiated_binders_are_unique():
     assert renamed_apart > 0
 
 
-def test_differential_check_compiles_once(monkeypatch):
-    """One desugar and one renaming per check, one instantiation and one
-    concrete run per trial: the span layout that traced fuzzing reads."""
-    calls = {}
-    for name in ("desugar", "alpha_rename", "instantiate_program", "run_concrete"):
+def _count_calls(monkeypatch, names) -> tuple[dict, set]:
+    """Count the calls `scv.soundness` makes to each of `names`, and collect
+    the distinct draws of the instances `instantiate_program` returns."""
+    calls, draws = {}, set()
+    for name in names:
         original = getattr(scv.soundness, name)
 
         def counted(*args, _name=name, _original=original, **kw):
             calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args, **kw)
+            result = _original(*args, **kw)
+            if _name == "instantiate_program":
+                draws.add(result.draws)
+            return result
 
         monkeypatch.setattr(scv.soundness, name, counted)
+    return calls, draws
+
+
+def test_differential_check_compiles_once(monkeypatch):
+    """One desugar and one renaming per check, one instantiation per trial
+    and one concrete run per distinct instantiation: the span layout that
+    traced fuzzing reads."""
+    calls, draws = _count_calls(
+        monkeypatch, ("desugar", "alpha_rename", "instantiate_program", "run_concrete")
+    )
     program = parse("(define f (λ (x) (+ x 1))) (f •)")
     rep = differential_check(program, trials=7, rng=random.Random(3), config=fresh_config(step_budget=300_000))
     assert rep.trials == 7 and not rep.inconclusive
-    assert calls == {"desugar": 1, "alpha_rename": 1, "instantiate_program": 7, "run_concrete": 7}
+    assert {k: calls[k] for k in ("desugar", "alpha_rename", "instantiate_program")} == {
+        "desugar": 1,
+        "alpha_rename": 1,
+        "instantiate_program": 7,
+    }
+    assert calls["run_concrete"] == len(draws) < rep.trials
+
+
+def _reference_check(program, trials, rng, config):
+    """`differential_check` as it reads without sharing runs: every trial
+    runs its instantiation concretely."""
+    holed = Holed(program)
+    result = scv.soundness.run_fixpoint(holed.core, config)
+    blames = result.blame_pairs()
+    if result.inconclusive:
+        return DifferentialReport(program, blames, inconclusive=True)
+    skipped = 0
+    violations = []
+    for _ in range(trials):
+        inst = instantiate_program(holed, rng)
+        outcome = run_concrete(inst.core, config)
+        if outcome.kind == "timeout":
+            skipped += 1
+        elif outcome.kind == "blame" and outcome.transparent:
+            if (outcome.positive, outcome.negative) not in blames:
+                violations.append((inst.program, outcome.positive, outcome.negative))
+    return DifferentialReport(program, blames, trials, skipped, False, tuple(violations))
+
+
+@pytest.mark.parametrize("blind", [False, True], ids=["sound", "blind"])
+def test_shared_runs_give_the_reference_report(monkeypatch, blind):
+    """On criterion-2 programs, sharing one concrete run among trials with
+    equal draws gives the report of running every trial.  The blind variant
+    drops every symbolic blame, so each transparent concrete blame is a
+    violation, and checks that repeated trials keep their own violations in
+    trial order."""
+    if blind:
+
+        def no_blames(core, config):
+            r = run_fixpoint(core, config)
+            return AnalysisResult((), r.explored_states, r.verified, r.inconclusive, r.final_values, r.solver_failures)
+
+        monkeypatch.setattr(scv.soundness, "run_fixpoint", no_blames)
+    rng = random.Random(20260811)
+    repeated = violations = 0
+    for _ in range(60):
+        program = generate_hole_program(rng, size=16)
+        state = rng.getstate()
+        got = differential_check(program, trials=20, rng=rng, config=fresh_config(step_budget=400_000))
+        after = rng.getstate()
+        rng.setstate(state)
+        want = _reference_check(program, 20, rng, fresh_config(step_budget=400_000))
+        assert rng.getstate() == after
+        assert got == want
+        assert got.violations == want.violations
+        violations += len(got.violations)
+        repeated += len(set(got.violations)) < len(got.violations)
+    assert violations if blind else not violations
+    assert repeated or not blind, "some program repeats a violating instantiation"
+
+
+def test_hole_free_loop_runs_once(monkeypatch):
+    """A hole-free program has one instantiation, so a loop that exhausts
+    the step budget costs one budget, not one per trial."""
+    calls, _ = _count_calls(monkeypatch, ("run_concrete",))
+    program = parse("(define f (λ (x) (f x))) (f 0)")
+    rep = differential_check(program, trials=5, rng=random.Random(1), config=fresh_config(step_budget=2_000))
+    assert not rep.inconclusive
+    assert rep.trials == 5 and rep.skipped == 5
+    assert calls == {"run_concrete": 1}
 
 
 def test_instantiate_postconditions():
