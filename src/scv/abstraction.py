@@ -213,7 +213,7 @@ def run_fixpoint(expr: Expr, config: Config, solver=None) -> AnalysisResult:
     # `widen` is looked up per run, so a wrapper put on `abstraction.widen`
     # (perfbench's tracer) sees every widening join
     state0, stores = load(expr, widen)
-    trace = open(config.trace_path, "w") if config.trace_path else None
+    trace = open(config.trace_path, "w", encoding="utf-8") if config.trace_path else None
     todo: list[MachineState] = [state0]
     queued: set[MachineState] = {state0}
     processed_set: set[MachineState] = set()
@@ -298,7 +298,7 @@ def run_concrete(expr: Expr, config: Optional[Config] = None) -> ConcreteOutcome
     config = config or Config()
     ctx = _make_ctx(expr, config, None, itertools.count())
     state, stores = load(expr)
-    trace = open(config.trace_path, "w") if config.trace_path else None
+    trace = open(config.trace_path, "w", encoding="utf-8") if config.trace_path else None
     steps = 0
     try:
         while steps < config.step_budget:

@@ -220,6 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
+    # Reports name parties such as `•ctx` and `Λ`.  Where stdout cannot
+    # encode them (an ASCII locale) they are written as `\u` escapes, which
+    # keep a JSON report valid and equal; a stream without `reconfigure`
+    # (an io.StringIO) takes any text.
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(errors="backslashreplace")
     try:
         return args.fn(args)
     except OSError as ex:

@@ -27,6 +27,19 @@ accounting of everything such a run can do to the rest of the program:
 Detaching makes the runs independent of where the escape happened, so all
 escape points share one exploration of each leaked value per context.
 
+The roots an application can schedule depend only on the leak set and the
+run's root cache, so the leak set is scanned once per pair of them: the
+store remembers, per root cache, the leak set it was last scanned against
+(`GlobalStores.scanned`).  Value sets are immutable and every change to an
+address stores a new one, so finding the current set object there means
+the leak set has not changed since that scan, and the application returns
+only its return successor.  That is exact: every root the scan could
+yield was yielded before, and the driver keeps each root processed or
+queued from then on (revisiting it when a store address it read
+changes), so it would drop them all; and the reads a scan logs are all of
+leak-reachable addresses, which `context_mutable_vars` has already logged
+for this state.
+
 Re-running a leaked value is memoized on a fingerprint of everything that
 run can observe: the store slice it reaches plus the canonical context.
 The fingerprint is that data itself, compared by equality, not a digest
@@ -225,6 +238,11 @@ def opaque_application(
     in a detached run whose result goes back to unknown code.  Detached
     runs share their exploration across every escape point, and arbitrary
     repetition is covered because they re-enter this rule.
+
+    The leak set is scanned for those runs only when it differs from the
+    one last scanned with the same root cache; otherwise the return
+    successor is the only one (the module docstring says why that is
+    exact).
     """
     leak(stores, argw.value)
 
@@ -250,8 +268,12 @@ def opaque_application(
     # facts (which stay valid while transparent code is suspended).  That
     # makes the run shareable across every escape point.
     run_cache = Cache({x: w for x, w in cache.items() if x in ctx.toplevel})
+    leaked = stores.lookup(LEAK_ADDR)
+    if stores.scanned.get(run_cache) is leaked:
+        return out
+    stores.scanned[run_cache] = leaked
     memo = ctx.memo if ctx.config.havoc_memo else None
-    for v in sorted(stores.lookup(LEAK_ADDR), key=value_key):
+    for v in sorted(leaked, key=value_key):
         run = MachineState(
             CVal(unknown),
             run_cache,

@@ -359,6 +359,11 @@ class GlobalStores:
     identity, the ones at their addresses would read the same store again
     and return the same result; one whose sets changed is walked again.
     No change needs to invalidate anything.
+
+    `scanned` maps each detached-run root cache to the leak set that
+    `havoc.opaque_application` last scanned with it.  By the same identity
+    argument, finding the current leak set there means the scan would
+    yield no root that was not yielded before.
     """
 
     def __init__(self, widen=None) -> None:
@@ -370,6 +375,8 @@ class GlobalStores:
         self.changed: list = []
         # walk root -> (result, {address: value set read})
         self.walks: dict = {}
+        # detached-run root cache -> leak set at its last scan
+        self.scanned: dict = {}
 
     def _note_read(self, addr) -> None:
         if self.reads is not None:

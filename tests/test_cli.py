@@ -228,3 +228,34 @@ def test_fuzz_writes_each_counterexample_to_its_own_file(tmp_path, monkeypatch, 
     assert [p.read_text(encoding="utf-8") for p in paths] == [scv.cli.program_to_text(parse(t)) for t in texts]
     out = capsys.readouterr().out
     assert all(f"written to {p.name}" in out for p in paths) and "violations=2" in out
+
+
+def test_reports_and_traces_survive_an_ascii_locale(tmp_path):
+    """Under an ASCII locale, party names such as `•ctx` and `Λ` reach
+    stdout as `\\u` escapes, which leave a JSON report equal, and trace
+    files are written in UTF-8."""
+    env = subprocess_env()
+    env.pop("PYTHONIOENCODING", None)
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+
+    def ascii_cli(*args):
+        return subprocess.run(SCV + list(args), capture_output=True, text=True, timeout=120, env=env)
+
+    program = corpus_path("callback-counter.lms")
+    trace = tmp_path / "verify.jsonl"
+    out = ascii_cli("verify", program, "--trace", str(trace))
+    assert out.returncode == 1 and out.stderr == ""
+    assert "potential blame: f (by \\u2022ctx)" in out.stdout
+    assert any("λ" in line for line in trace.read_text(encoding="utf-8").splitlines())
+
+    out = ascii_cli("verify", program, "--format", "json")
+    assert out.returncode == 1 and out.stderr == ""
+    assert json.loads(out.stdout) == json.loads(run_cli("verify", program, "--format", "json").stdout)
+
+    divide = tmp_path / "divide.lms"
+    divide.write_text("(/ 1 0)", encoding="utf-8")
+    trace = tmp_path / "run.jsonl"
+    out = ascii_cli("run", str(divide), "--trace", str(trace))
+    assert out.returncode == 1 and out.stderr == ""
+    assert out.stdout.strip() == "blame /@1:2 (by \\u039b)"
+    assert json.loads(trace.read_text(encoding="utf-8").splitlines()[-1])

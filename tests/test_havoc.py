@@ -1,9 +1,12 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 
 from conftest import CORPUS_EXPECTED, compile_text, corpus_text, fresh_config
+import scv.abstraction
+import scv.havoc
 from scv.abstraction import run_fixpoint, widen
 from scv.config import Config, RunCtx
 from scv.havoc import (
@@ -11,6 +14,7 @@ from scv.havoc import (
     context_mutable_vars,
     fingerprint,
     leak,
+    opaque_application,
     should_rerun,
 )
 from scv.machine import (
@@ -18,6 +22,7 @@ from scv.machine import (
     CVal,
     DETACHED,
     Env,
+    HALT,
     GlobalStores,
     LEAK_ADDR,
     MachineState,
@@ -224,6 +229,91 @@ def test_every_reused_walk_equals_a_fresh_walk(monkeypatch, solver):
         res = run_fixpoint(compile_text(text, escapes=True), fresh_config(), solver=solver)
         assert len(res.blame_pairs()) == blames and not res.inconclusive, text
     assert reused
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
+def test_opaque_application_scans_once_per_run_cache_and_leak_set(memo):
+    """A second application from the same run cache against the same leak
+    set returns only the return successor; a new leaked value, or another
+    run cache, makes the next application scan again."""
+    stores = fresh_stores(widen)
+    ctx = RunCtx(Config(havoc_memo=memo), None, frozenset({"n"}), HavocMemo())
+    state = MachineState(CVal(PostValue(VNum(0), None)), Cache(), frozenset(), (), HALT, frozenset())
+
+    def apply(arg, at=state) -> list:
+        out = opaque_application(at, PostValue(arg, None), frozenset(), stores, ctx)
+        assert out[0].kaddr == HALT
+        return [run.frames[0].fn.value for run in out[1:]]
+
+    first = VClo("x", Num(0), Env(), frozenset())
+    assert set(apply(first)) == {VOpq(), first}
+    assert apply(first) == []
+    second = VClo("y", Num(1), Env(), frozenset())
+    leak(stores, second)
+    assert set(apply(first)) == ({second} if memo else stores.lookup(LEAK_ADDR))
+    assert apply(first) == []
+    other = MachineState(state.control, Cache({"n": PostValue(VNum(1), None)}), frozenset(), (), HALT, frozenset())
+    assert set(apply(first, other)) == {VOpq(), first, second}
+    assert apply(first, other) == []
+
+
+class _Forgetful(dict):
+    """A scan table that never remembers a scan."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_skipped_scans_leave_the_processed_states_unchanged(monkeypatch, tmp_path, solver):
+    """Skipping a scan only withholds roots the driver has already seen, so
+    the processed-state sequence (the `--trace` stream) is the same with
+    every opaque application scanning the leak set."""
+    programs = [corpus_text(name) for name in sorted(CORPUS_EXPECTED)]
+    programs += [copies("callback-counter.lms", 4), copies("divider-and-stepper.lms", 2)]
+    load = scv.abstraction.load
+
+    def unskipped(e, widen=None):
+        state, stores = load(e, widen)
+        stores.scanned = _Forgetful()
+        return state, stores
+
+    def traces(memo: bool) -> list:
+        out = []
+        for text in programs:
+            path = tmp_path / "trace.jsonl"
+            run_fixpoint(compile_text(text, escapes=True), fresh_config(havoc_memo=memo, trace_path=str(path)), solver)
+            out.append(path.read_bytes())
+        return out
+
+    skipping = {memo: traces(memo) for memo in (True, False)}
+    monkeypatch.setattr(scv.abstraction, "load", unskipped)
+    for memo in (True, False):
+        for text, skipped, scanned in zip(programs, skipping[memo], traces(memo)):
+            assert skipped == scanned, (memo, text)
+
+
+def test_each_run_cache_and_leak_set_is_scanned_once(monkeypatch, solver):
+    """On `callback-counter`x8, 145 opaque applications see only 16 distinct
+    (run cache, leak set) pairs; each pair's leak set is scanned once."""
+    calls: Counter = Counter()
+    apps = []
+    rerun, apply = scv.havoc.should_rerun, scv.havoc.opaque_application
+
+    def counted_rerun(v, stores, memo, state=None, toplevel=frozenset()):
+        calls[state.cache, stores.values[LEAK_ADDR]] += 1
+        return rerun(v, stores, memo, state, toplevel)
+
+    def counted_apply(*args):
+        apps.append(1)
+        return apply(*args)
+
+    monkeypatch.setattr(scv.havoc, "should_rerun", counted_rerun)
+    monkeypatch.setattr(scv.havoc, "opaque_application", counted_apply)
+    core = compile_text(copies("callback-counter.lms", 8), escapes=True)
+    assert run_fixpoint(core, fresh_config(), solver).explored_states == 3117
+    assert len(apps) == 145
+    assert len(calls) == 16
+    assert all(n == len(leaked) for (_, leaked), n in calls.items())
 
 
 def test_corpus_havoc_blames():
